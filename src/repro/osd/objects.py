@@ -1,41 +1,113 @@
 """In-memory object store backing one OSD (a miniature BlueStore).
 
-Objects are sparse byte buffers addressed by name; reads beyond written
-extents return zeros (like a filesystem hole).  Data is stored for real
-so integrity round-trips (including EC reconstruction) are verifiable in
-tests.
+Objects are addressed by name.  Like BlueStore's extent map, an object
+holds only the bytes that were written: a sorted list of non-overlapping
+``(start, payload)`` extents plus a logical size (the highest byte ever
+written).  Holes and reads past the end return zeros, like a filesystem
+hole, so memory is proportional to bytes written, not to object size.
+An object written whole from offset 0 -- the common case for EC shards,
+recovery pushes and small objects -- is kept as its payload alone and
+becomes an extent list on its first partial or offset write.
+
+Payloads are immutable ``bytes`` held by reference: a write keeps the
+caller's ``bytes`` object (a ``bytearray`` or ``memoryview`` is copied
+once), a read that falls inside one extent returns that payload or a
+slice of it, and an overwrite splits the extents it overlaps into slices
+of the old payloads.  Several objects and stores -- e.g. the WAL's media
+image and the OSD's visible store -- can therefore share one payload,
+and nothing ever mutates a payload in place.
 
 Like BlueStore, every write refreshes a stored whole-object checksum, so
 scrub can tell *which* copy rotted even in 2-replica pools where a
-majority vote ties.  The checksum is maintained lazily: a write marks
-the object dirty and the digest is computed on first read of the
-checksum (scrub/verify) — the write hot path never hashes.  A
-legitimate-write digest is flushed before :meth:`corrupt` mutates bytes,
-so silent corruption is still detectable: the stored checksum always
-reflects the last legitimate write.
+majority vote ties.  The checksum is the SHA-256 of the logical content,
+holes included, so it does not depend on the extent layout: replicas
+written in different patterns agree.  It is streamed through
+:mod:`hashlib` extent by extent and hole by hole, never materialising
+the object.  The checksum is maintained lazily: a write
+marks the object dirty and the digest is computed on first read of the
+checksum (scrub/verify) -- the write hot path never hashes.  A
+legitimate-write digest is flushed before :meth:`ObjectStore.corrupt`
+replaces bytes, so silent corruption is still detectable: the stored
+checksum always reflects the last legitimate write.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
+from typing import Union
 
 from ..errors import StorageError
 
+#: Shared zero buffer that holes are hashed from, in chunks.
+_ZEROS = memoryview(bytes(1 << 16))
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+
+class _Extents:
+    """A fragmented object: sorted, non-overlapping ``(start, payload)``
+    runs (every payload non-empty) and the logical size."""
+
+    __slots__ = ("size", "starts", "payloads")
+
+    def __init__(self, size: int, starts: list[int], payloads: list[bytes]):
+        self.size = size
+        self.starts = starts
+        self.payloads = payloads
+
+    def put(self, offset: int, data: bytes) -> None:
+        """Overlay ``data`` at ``offset``, splitting overlapped extents."""
+        end = offset + len(data)
+        if end > self.size:
+            self.size = end
+        if not data:
+            return
+        starts, payloads = self.starts, self.payloads
+        lo = bisect_right(starts, offset) - 1
+        if lo < 0 or starts[lo] + len(payloads[lo]) <= offset:
+            lo += 1
+        hi = bisect_left(starts, end, lo)
+        new_starts, new_payloads = [offset], [data]
+        if lo < hi:
+            first, last = starts[lo], starts[hi - 1]
+            if first < offset:
+                new_starts.insert(0, first)
+                new_payloads.insert(0, payloads[lo][: offset - first])
+            tail = payloads[hi - 1]
+            if last + len(tail) > end:
+                new_starts.append(end)
+                new_payloads.append(tail[end - last :])
+        starts[lo:hi] = new_starts
+        payloads[lo:hi] = new_payloads
+
+
+#: An object is its payload (written whole) or an extent list.
+_Object = Union[bytes, _Extents]
+
+
+def _size(obj: _Object) -> int:
+    return len(obj) if type(obj) is bytes else obj.size
+
+
+def _runs(obj: _Object) -> tuple:
+    """``(starts, payloads)``: a whole-written object is one extent at 0."""
+    return ((0,), (obj,)) if type(obj) is bytes else (obj.starts, obj.payloads)
+
+
+def _hash_zeros(h, n: int) -> None:
+    while n > 0:
+        step = min(n, len(_ZEROS))
+        h.update(_ZEROS[:step])
+        n -= step
 
 
 class ObjectStore:
-    """name -> sparse bytearray, with usage accounting and checksums."""
+    """name -> sparse extent map of shared immutable payloads, with checksums."""
 
-    def __init__(self, capacity_bytes: int | None = None):
-        self._objects: dict[str, bytearray] = {}
+    def __init__(self):
+        self._objects: dict[str, _Object] = {}
         self._checksums: dict[str, str] = {}
         #: Objects whose checksum is stale (recomputed on demand).
         self._dirty: set[str] = set()
-        self._used = 0
-        self.capacity_bytes = capacity_bytes
 
     def __contains__(self, name: str) -> bool:
         return name in self._objects
@@ -45,8 +117,11 @@ class ObjectStore:
 
     @property
     def used_bytes(self) -> int:
-        """Total bytes across all objects (allocated extents)."""
-        return self._used
+        """Total bytes held in extents across all objects (holes are free)."""
+        return sum(
+            len(obj) if type(obj) is bytes else sum(map(len, obj.payloads))
+            for obj in self._objects.values()
+        )
 
     def object_names(self) -> list[str]:
         """Sorted object names (for scrub/recovery iteration)."""
@@ -54,42 +129,71 @@ class ObjectStore:
 
     def object_size(self, name: str) -> int:
         """Current size of an object (0 if absent)."""
-        buf = self._objects.get(name)
-        return len(buf) if buf is not None else 0
+        obj = self._objects.get(name)
+        return _size(obj) if obj is not None else 0
+
+    def _get(self, name: str) -> _Object:
+        obj = self._objects.get(name)
+        if obj is None:
+            raise StorageError(f"no such object {name!r}")
+        return obj
+
+    def _put(self, name: str, offset: int, data: bytes) -> None:
+        obj = self._objects.get(name)
+        if offset == 0 and (obj is None or len(data) >= _size(obj)):
+            self._objects[name] = data  # covers the whole object
+            return
+        if type(obj) is not _Extents:
+            obj = _Extents(len(obj), [0], [obj]) if obj else _Extents(0, [], [])
+            self._objects[name] = obj
+        obj.put(offset, data)
 
     def write(self, name: str, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, growing the object as needed."""
+        """Write ``data`` at ``offset``, growing the object as needed.
+
+        ``bytes`` payloads are kept by reference; anything else is
+        copied once, so later mutation by the caller cannot leak in.
+        """
         if offset < 0:
             raise StorageError(f"negative write offset {offset}")
-        buf = self._objects.get(name)
-        old_len = len(buf) if buf is not None else 0
-        end = offset + len(data)
-        if self.capacity_bytes is not None:
-            projected = self._used + max(0, end - old_len)
-            if projected > self.capacity_bytes:
-                raise StorageError(
-                    f"device full: {projected} > capacity {self.capacity_bytes}"
-                )
-        if buf is None:
-            buf = bytearray()
-            self._objects[name] = buf
-        if old_len < end:
-            buf.extend(b"\x00" * (end - old_len))
-            self._used += end - old_len
-        buf[offset:end] = data
+        self._put(name, offset, bytes(data))
+        self._dirty.add(name)
+
+    def copy_from(self, source: ObjectStore, name: str) -> None:
+        """Replace ``name`` with ``source``'s copy, sharing its payloads.
+
+        No data is copied.  The checksum is re-derived from the content
+        on demand, as after a write.
+        """
+        obj = source._get(name)
+        if type(obj) is _Extents:
+            obj = _Extents(obj.size, list(obj.starts), list(obj.payloads))
+        self._objects[name] = obj
         self._dirty.add(name)
 
     def read(self, name: str, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``; holes and EOF read as zeros."""
         if offset < 0 or length < 0:
             raise StorageError(f"invalid read extent ({offset}, {length})")
-        buf = self._objects.get(name)
-        if buf is None:
-            raise StorageError(f"no such object {name!r}")
-        chunk = bytes(buf[offset : offset + length])
-        if len(chunk) < length:
-            chunk += b"\x00" * (length - len(chunk))
-        return chunk
+        obj = self._get(name)
+        end = offset + length
+        starts, payloads = _runs(obj)
+        i = bisect_right(starts, offset) - 1
+        if i >= 0 and end - starts[i] <= len(payloads[i]):
+            # Inside one extent: the payload itself, or one slice of it.
+            start, payload = starts[i], payloads[i]
+            if offset == start and length == len(payload):
+                return payload
+            return payload[offset - start : end - start]
+        buf = bytearray(length)
+        for i in range(max(0, i), len(starts)):
+            start, payload = starts[i], payloads[i]
+            if start >= end:
+                break
+            a, b = max(0, offset - start), min(len(payload), end - start)
+            if a < b:
+                buf[start + a - offset : start + b - offset] = memoryview(payload)[a:b]
+        return bytes(buf)
 
     def clear(self) -> None:
         """Drop every object and checksum (a revived OSD starts empty:
@@ -97,40 +201,46 @@ class ObjectStore:
         self._objects.clear()
         self._checksums.clear()
         self._dirty.clear()
-        self._used = 0
 
     def delete(self, name: str) -> None:
         """Remove an object."""
-        buf = self._objects.get(name)
-        if buf is None:
-            raise StorageError(f"no such object {name!r}")
-        self._used -= len(buf)
+        self._get(name)
         del self._objects[name]
         self._checksums.pop(name, None)
         self._dirty.discard(name)
 
     # -- integrity -------------------------------------------------------------
 
+    def content_digest(self, name: str) -> str:
+        """SHA-256 of the object's current content (holes read as zeros).
+
+        Streamed extent by extent and hole by hole, never materialised.
+        """
+        obj = self._get(name)
+        h, pos = hashlib.sha256(), 0
+        for start, payload in zip(*_runs(obj)):
+            _hash_zeros(h, start - pos)
+            h.update(payload)
+            pos = start + len(payload)
+        _hash_zeros(h, _size(obj) - pos)
+        return h.hexdigest()
+
     def _flush_checksum(self, name: str) -> None:
         """Materialize the pending legitimate-write checksum, if any."""
         if name in self._dirty:
-            self._checksums[name] = _digest(bytes(self._objects[name]))
+            self._checksums[name] = self.content_digest(name)
             self._dirty.discard(name)
 
     def corrupt(self, name: str, offset: int, junk: bytes) -> None:
         """Fault injection: alter stored bytes WITHOUT updating the
-        checksum — silent media corruption."""
-        buf = self._objects.get(name)
-        if buf is None:
-            raise StorageError(f"no such object {name!r}")
+        checksum — silent media corruption.  The overlapped extents are
+        replaced, so a payload shared with another object or store is
+        left intact."""
+        self._get(name)
         # The stored checksum must keep describing the last legitimate
         # write, so settle any lazily deferred digest first.
         self._flush_checksum(name)
-        end = offset + len(junk)
-        if len(buf) < end:
-            self._used += end - len(buf)
-            buf.extend(b"\x00" * (end - len(buf)))
-        buf[offset:end] = junk
+        self._put(name, offset, bytes(junk))
 
     def stored_checksum(self, name: str) -> str:
         """The checksum recorded at last legitimate write."""
@@ -141,8 +251,6 @@ class ObjectStore:
 
     def verify(self, name: str) -> bool:
         """True when current content matches the stored checksum."""
-        buf = self._objects.get(name)
-        if buf is None:
-            raise StorageError(f"no such object {name!r}")
+        self._get(name)
         self._flush_checksum(name)
-        return _digest(bytes(buf)) == self._checksums.get(name)
+        return self.content_digest(name) == self._checksums.get(name)

@@ -9,7 +9,6 @@ that corrupt replicas are detected and healed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -21,10 +20,6 @@ from .ops import OpKind, OsdOp
 from .osd import OsdDaemon, shard_object_name
 from .qos import CLASS_SCRUB, QosTag
 from .osdmap import Pool, PoolType
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 @dataclass
@@ -135,44 +130,46 @@ class Scrubber:
         holders = {o: d for o, d in live.items() if name in d.store}
         if not holders:
             return
-        copies: dict[int, bytes] = {}
+        digests: dict[int, str] = {}
         sizes: dict[int, int] = {}
         for osd_id, daemon in holders.items():
             size = daemon.store.object_size(name)
             sizes[osd_id] = size
             if deep:
                 yield from daemon.device.read(name, 0, max(1, size))
-                copies[osd_id] = daemon.store.read(name, 0, size)
+                digests[osd_id] = daemon.store.content_digest(name)
         if len(set(sizes.values())) > 1:
             report.inconsistencies.append(
                 Inconsistency(name, "size-mismatch", f"sizes {sizes}")
             )
-        if deep and len({_digest(c) for c in copies.values()}) > 1:
+        if deep and len(set(digests.values())) > 1:
             report.inconsistencies.append(
-                Inconsistency(name, "checksum-mismatch", f"across osds {sorted(copies)}")
+                Inconsistency(name, "checksum-mismatch", f"across osds {sorted(digests)}")
             )
             if repair:
-                yield from self._repair_replicated(name, copies, holders, helper)
+                yield from self._repair_replicated(name, digests, holders, helper)
                 report.repaired += 1
 
-    def _repair_replicated(self, name, copies, holders, helper) -> Generator:
+    def _repair_replicated(self, name, digests, holders, helper) -> Generator:
         # BlueStore-style: each copy self-verifies against its stored
         # checksum, so the rotted copy is identified even in 2-replica
         # pools where a majority vote would tie.  Majority vote is the
         # fallback when every copy self-verifies (e.g. a stale replica).
         self_ok = {o for o, d in holders.items() if d.store.verify(name)}
-        if self_ok and len(self_ok) < len(copies):
-            good = copies[next(iter(self_ok))]
-            bad = [o for o in copies if o not in self_ok]
+        if self_ok and len(self_ok) < len(digests):
+            source = next(iter(self_ok))
+            bad = [o for o in digests if o not in self_ok]
         else:
             tally: dict[str, list[int]] = {}
-            for osd_id, data in copies.items():
-                tally.setdefault(_digest(data), []).append(osd_id)
+            for osd_id, digest in digests.items():
+                tally.setdefault(digest, []).append(osd_id)
             good_digest, good_osds = max(tally.items(), key=lambda kv: len(kv[1]))
-            if len(good_osds) == len(copies):
+            if len(good_osds) == len(digests):
                 return
-            good = copies[good_osds[0]]
-            bad = [o for o, data in copies.items() if _digest(data) != good_digest]
+            source = good_osds[0]
+            bad = [o for o, digest in digests.items() if digest != good_digest]
+        store = holders[source].store
+        good = store.read(name, 0, store.object_size(name))
         for osd_id in bad:
             op = OsdOp(
                 OpKind.WRITE_DIRECT, 0, name, 0, len(good), data=good,

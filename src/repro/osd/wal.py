@@ -205,7 +205,12 @@ class _MediaEntry:
 
 
 class _InstallEntry:
-    """A commit install (extent -> object metadata remap) awaiting flush."""
+    """A commit install (extent -> object metadata remap) awaiting flush.
+
+    The staged payload moves into the object by reference: the staged
+    extent, the installed object and the visible store share one
+    ``bytes``, never a copy.
+    """
 
     def __init__(self, wal: "WriteAheadLog", record: WalRecord, data: bytes):
         self.wal = wal
@@ -542,7 +547,7 @@ class WriteAheadLog:
                     self._m_dropped.add()
                     versions.pop(key, None)
                     continue
-            ws.write(key, 0, self.media.read(key, 0, self.media.object_size(key)))
+            ws.copy_from(self.media, key)
         expected = self.checkpoint_seq + 1
         for i, rec in enumerate(self.log):
             if rec.seq != expected or not rec.valid:
@@ -602,7 +607,7 @@ class WriteAheadLog:
         # base; the log starts empty past every allocated seq.
         media = ObjectStore()
         for name in ws.object_names():
-            media.write(name, 0, ws.read(name, 0, ws.object_size(name)))
+            media.copy_from(ws, name)
         self.media = media
         self.durable_versions = dict(versions)
         self.log = []

@@ -1,6 +1,11 @@
 """Tests for the media model and the object store."""
 
+import hashlib
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import StorageError
 from repro.osd import HDD, NVME_SSD, ObjectStore, StorageDevice
@@ -133,6 +138,9 @@ def test_object_store_sparse_holes():
     store.write("a", 100, b"xy")
     assert store.read("a", 0, 4) == b"\x00" * 4
     assert store.read("a", 100, 2) == b"xy"
+    # Holes hold no bytes: only the written extent counts.
+    assert store.used_bytes == 2
+    assert store.object_size("a") == 102
 
 
 def test_object_store_read_past_eof_zero_fills():
@@ -156,12 +164,39 @@ def test_object_store_missing_object():
         store.delete("nope")
 
 
-def test_object_store_capacity():
-    store = ObjectStore(capacity_bytes=10)
-    store.write("a", 0, b"12345")
-    with pytest.raises(StorageError):
-        store.write("b", 0, b"123456789")
-    store.write("b", 0, b"12345")  # exactly fits
+def test_object_store_overwrite_spanning_three_extents():
+    store = ObjectStore()
+    store.write("a", 0, b"aaaa")
+    store.write("a", 6, b"bbbb")
+    store.write("a", 12, b"cccc")
+    store.write("a", 2, b"XXXXXXXXXXXX")
+    assert store.read("a", 0, 18) == b"aaXXXXXXXXXXXXcc\x00\x00"
+    assert store.object_size("a") == 16
+    assert store.used_bytes == 16
+    store.write("a", 0, b"z" * 16)  # a whole overwrite collapses the extents
+    assert store.read("a", 0, 16) == b"z" * 16
+
+
+def test_object_store_write_keeps_no_reference_to_mutable_buffers():
+    store = ObjectStore()
+    buf = bytearray(b"stable")
+    store.write("a", 0, buf)
+    store.write("a", 10, memoryview(buf))
+    buf[:] = b"CHANGED"
+    assert store.read("a", 0, 16) == b"stable\x00\x00\x00\x00stable"
+
+
+def test_object_store_corrupt_leaves_shared_payloads_intact():
+    payload = b"shared-payload"
+    a, b = ObjectStore(), ObjectStore()
+    a.write("x", 0, payload)
+    a.write("y", 0, payload)
+    b.copy_from(a, "x")
+    a.corrupt("x", 3, b"ROT")
+    assert not a.verify("x")
+    assert a.read("x", 0, len(payload)) == b"shaROT-payload"
+    assert a.read("y", 0, len(payload)) == payload and a.verify("y")
+    assert b.read("x", 0, len(payload)) == payload and b.verify("x")
 
 
 def test_object_store_accounting():
@@ -222,3 +257,115 @@ def test_object_store_delete_clears_checksum():
     store.delete("a")
     with pytest.raises(StorageError):
         store.stored_checksum("a")
+
+
+# --- extent store vs the dense reference model -----------------------------------
+
+
+class DenseStore:
+    """Reference model: each object is one zero-filled ``bytearray`` up to
+    its highest written byte, with an eagerly refreshed checksum."""
+
+    def __init__(self):
+        self.objects: dict[str, bytearray] = {}
+        self.checksums: dict[str, str] = {}
+
+    def _overlay(self, name, offset, data):
+        buf = self.objects.setdefault(name, bytearray())
+        buf.extend(bytes(max(0, offset + len(data) - len(buf))))
+        buf[offset : offset + len(data)] = data
+
+    def write(self, name, offset, data):
+        self._overlay(name, offset, data)
+        self.checksums[name] = hashlib.sha256(self.objects[name]).hexdigest()
+
+    def corrupt(self, name, offset, junk):
+        self._overlay(name, offset, junk)
+
+    def read(self, name, offset, length):
+        chunk = bytes(self.objects[name][offset : offset + length])
+        return chunk + bytes(length - len(chunk))
+
+    def verify(self, name):
+        return hashlib.sha256(self.objects[name]).hexdigest() == self.checksums[name]
+
+
+NAMES = st.sampled_from(["a", "b", "c"])
+OFFSETS = st.integers(min_value=0, max_value=48)
+PAYLOADS = st.binary(max_size=24)
+BUFFER_TYPES = st.sampled_from([bytes, bytearray, memoryview])
+
+
+class ExtentStoreMatchesDenseModel(RuleBasedStateMachine):
+    """Random write/read/delete/corrupt/verify/checksum sequences read,
+    size and hash the same on the extent store and the dense model.  A
+    second store takes copies by reference; later changes to the first
+    store must not reach it."""
+
+    def __init__(self):
+        super().__init__()
+        self.store, self.model = ObjectStore(), DenseStore()
+        self.copies, self.copied = ObjectStore(), {}
+
+    @rule(name=NAMES, offset=OFFSETS, data=PAYLOADS, kind=BUFFER_TYPES)
+    def write(self, name, offset, data, kind):
+        self.store.write(name, offset, kind(bytearray(data)))
+        self.model.write(name, offset, data)
+
+    @rule(name=NAMES, offset=OFFSETS, junk=st.binary(min_size=1, max_size=8))
+    def corrupt(self, name, offset, junk):
+        if name not in self.model.objects:
+            with pytest.raises(StorageError):
+                self.store.corrupt(name, offset, junk)
+            return
+        self.store.corrupt(name, offset, junk)
+        self.model.corrupt(name, offset, junk)
+
+    @rule(name=NAMES, offset=OFFSETS, length=st.integers(min_value=0, max_value=80))
+    def read(self, name, offset, length):
+        if name not in self.model.objects:
+            with pytest.raises(StorageError):
+                self.store.read(name, offset, length)
+            return
+        assert self.store.read(name, offset, length) == self.model.read(name, offset, length)
+
+    @rule(name=NAMES)
+    def delete(self, name):
+        if name not in self.model.objects:
+            with pytest.raises(StorageError):
+                self.store.delete(name)
+            return
+        self.store.delete(name)
+        del self.model.objects[name]
+        del self.model.checksums[name]
+
+    @rule(name=NAMES)
+    def verify_and_checksum(self, name):
+        if name not in self.model.objects:
+            with pytest.raises(StorageError):
+                self.store.verify(name)
+            return
+        assert self.store.stored_checksum(name) == self.model.checksums[name]
+        assert self.store.verify(name) == self.model.verify(name)
+
+    @rule(name=NAMES)
+    def copy(self, name):
+        if name in self.model.objects:
+            self.copies.copy_from(self.store, name)
+            self.copied[name] = bytes(self.model.objects[name])
+
+    @invariant()
+    def same_content(self):
+        assert self.store.object_names() == sorted(self.model.objects)
+        for name, buf in self.model.objects.items():
+            assert self.store.object_size(name) == len(buf)
+            assert self.store.read(name, 0, len(buf)) == buf
+        for name, data in self.copied.items():
+            assert self.copies.read(name, 0, len(data) + 4) == data + bytes(4)
+            assert self.copies.content_digest(name) == hashlib.sha256(data).hexdigest()
+
+
+ExtentStoreMatchesDenseModel.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=40, deadline=None
+)
+test_extent_store_matches_dense_model = ExtentStoreMatchesDenseModel.TestCase

@@ -50,13 +50,21 @@ def test_deferred_write_visible_and_durable():
 
 def test_commit_write_stages_extent_then_remaps():
     env, device, owner, wal = make(DurabilityConfig(defer_threshold=64))
-    run(env, wal.write("obj", 0, b"b" * 4096, True, version=1))
+    data = b"b" * 4096
+    run(env, wal.write("obj", 0, data, True, version=1))
     assert wal.commit_writes == 1 and wal.deferred_writes == 0
     run(env, wal.sync())
-    assert wal.media.read("obj", 0, 4096) == b"b" * 4096
+    assert wal.media.read("obj", 0, 4096) == data
     # The staged extent was consumed by the install remap.
     assert not any("~x" in k for k in wal.media.object_names())
     assert wal.durable_versions["obj"] == 1
+    # The install, replay and compaction move the payload by reference:
+    # media and the visible store hold the written bytes object itself.
+    assert wal.media.read("obj", 0, 4096) is data
+    assert owner.store.read("obj", 0, 4096) is data
+    wal.recover()
+    assert wal.media.read("obj", 0, 4096) is data
+    assert owner.store.read("obj", 0, 4096) is data
 
 
 def test_journal_writes_hit_the_device():
