@@ -3,8 +3,9 @@
 
 The paper names detailed profiling/tracing of the erasure-coding and
 replication path as future work; the simulation provides it today.
-Runs 4 kB random writes through DeLiBA-K with the tracer enabled and
-prints the mean per-stage latency contribution:
+Runs 4 kB random writes through DeLiBA-K with causal tracing on and
+prints the mean per-stage latency contribution, computed from the
+requests' span trees:
 
   rings    - io_uring submission/completion handling
   dmq      - the modified multi-queue block layer
@@ -22,7 +23,7 @@ from repro.workloads import FioJob
 
 
 def main() -> None:
-    fw = build_framework(DELIBAK, trace=True)
+    fw = build_framework(DELIBAK, obs=True)
     job = FioJob("trace", "randwrite", bs=kib(4), iodepth=1, nrequests=50)
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()

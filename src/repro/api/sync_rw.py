@@ -53,6 +53,9 @@ class SyncEngine(AioEngine):
             meter.record(bio.size, self.env.now)
 
     def _blocking_io(self, core, bio: Bio) -> Generator:
+        # The causal tree is rooted at the syscall, so its duration is
+        # the latency the worker measures.
+        self.blk.tracer.open_root(bio)
         # Syscall entry.
         yield from self.kernel.syscall(core)
         if self.buffered and bio.op == IoOp.WRITE:
@@ -67,11 +70,7 @@ class SyncEngine(AioEngine):
         yield from self.kernel.context_switch(core)
         if self.buffered and bio.op == IoOp.READ:
             yield from self.kernel.copy(core, bio.size)
-        tracer = self.blk.tracer
-        if tracer is not None:
-            # Completion delivery: IRQ + wakeup (+ read copy-out).
-            tracer.record(request.req_id, "complete", t0, self.env.now)
-            root = getattr(request, "_obs_span", None)
-            if root is not None:
-                root.record("complete", "stage", t0, self.env.now)
-                root.finish(ok=not (request.status or request.error))
+        # Completion delivery: IRQ + wakeup (+ read copy-out).
+        root = bio.obs_span
+        root.record("complete", "stage", t0, self.env.now)
+        root.finish(ok=not (request.status or request.error))

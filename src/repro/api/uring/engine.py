@@ -17,9 +17,13 @@ from typing import Generator, Optional, Sequence
 from ...blk import Bio, BlockLayer
 from ...errors import ApiError
 from ...host import HostKernel
+from ...obs.context import NULL_SPAN
 from ...sim import Environment
 from ..base import AioEngine, RunResult
 from .instance import IoUring, UringCosts, UringMode
+
+#: Completion record of a CQE that never went through ``_post_cqe``.
+_NOT_POSTED = (0, NULL_SPAN)
 
 
 class UringEngine(AioEngine):
@@ -116,16 +120,12 @@ class UringEngine(AioEngine):
             if inflight:
                 cqes = yield from inst.wait_cqes(wait_nr=1, max_cqes=self.batch_size)
                 for cqe in cqes:
-                    pending = inst._complete_t0.pop(cqe.user_data, None)
-                    root = None
-                    if pending is not None and self.blk.tracer is not None:
-                        req_id, t0, root = pending
-                        self.blk.tracer.record(req_id, "complete", t0, self.env.now)
-                        if root is not None:
-                            # Close the causal tree at the reap: root
-                            # duration now equals the recorded latency.
-                            root.record("complete", "stage", t0, self.env.now)
-                            root.finish(ok=cqe.ok)
+                    # Close the causal tree at the reap: root duration now
+                    # equals the recorded latency.  (A cancelled link-chain
+                    # SQE never posted through _post_cqe: no stage to close.)
+                    t0, root = inst._complete_t0.pop(cqe.user_data, _NOT_POSTED)
+                    root.record("complete", "stage", t0, self.env.now)
+                    root.finish(ok=cqe.ok)
                     latency = self.env.now - submit_times.pop(cqe.user_data)
                     result.latencies_ns.append(latency)
                     if health is not None:

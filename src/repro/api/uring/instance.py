@@ -57,6 +57,15 @@ class UringCosts:
     sqpoll_wake_ns: int = 400
 
 
+def _record_rings(bio: Bio, request) -> None:
+    """Attribute SQE prep -> block-layer entry to the ``rings`` stage of
+    the request ``bio`` opened (a bio merged into an earlier request has
+    no rings stage of its own)."""
+    if request.bios[0] is bio:
+        root = bio.obs_span
+        root.record("rings", "stage", root.start_ns, request.submitted_at)
+
+
 class IoUring:
     """One ring pair bound to a CPU core."""
 
@@ -84,10 +93,9 @@ class IoUring:
         self.sq = Ring(entries)
         self.cq = Ring(2 * entries)
         self._inflight: dict[int, Sqe] = {}
-        #: user_data -> (req_id, completion fire time, causal root or
-        #: None) for the tracer: the reaper closes the flat ``complete``
-        #: span and the causal root from these.
-        self._complete_t0: dict[int, tuple[int, int, object]] = {}
+        #: user_data -> (completion fire time, the bio's span tree): the
+        #: reaper closes the tree's ``complete`` stage from these.
+        self._complete_t0: dict[int, tuple[int, object]] = {}
         self._cq_waiter: Optional[Event] = None
         self._sq_kick: Optional[Event] = None
         self._sqpoll_proc = None
@@ -124,15 +132,9 @@ class IoUring:
             flags=flags,
             bio=bio,
         )
-        tracer = self.blk.tracer
-        if tracer is not None:
-            bio._trace_t0 = self.env.now
-            if tracer.causal:
-                # The causal tree is rooted where the application hands
-                # the op to the kernel interface: SQE preparation.
-                bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
-                if bio.tenant:
-                    bio._obs_root.annotate(tenant=bio.tenant)
+        # The causal tree is rooted where the application hands the op
+        # to the kernel interface: SQE preparation.
+        self.blk.tracer.open_root(bio)
         self.sq.push(sqe)
         return sqe
 
@@ -143,10 +145,7 @@ class IoUring:
         user_data order) with the per-call overhead hoisted out of the
         loop; all-or-nothing on SQ space.
         """
-        tracer = self.blk.tracer
-        trace = tracer is not None
-        causal = trace and tracer.causal
-        now = self.env.now
+        open_root = self.blk.tracer.open_root
         fixed = self.fixed_buffers
         sqes = []
         for bio in bios:
@@ -154,12 +153,7 @@ class IoUring:
                 opcode = UringOp.READ_FIXED if fixed else UringOp.READ
             else:
                 opcode = UringOp.WRITE_FIXED if fixed else UringOp.WRITE
-            if trace:
-                bio._trace_t0 = now
-                if causal:
-                    bio._obs_root = tracer.start_root(bio.op.value, size=bio.size)
-                    if bio.tenant:
-                        bio._obs_root.annotate(tenant=bio.tenant)
+            open_root(bio)
             sqes.append(
                 Sqe(
                     opcode=opcode,
@@ -217,6 +211,7 @@ class IoUring:
                 self.sqes_submitted += 1
                 self._m_sqes.add()
                 request = yield from self.blk.submit_bio(core, sqe.bio)
+                _record_rings(sqe.bio, request)
                 self._arm_completion(sqe, request)
                 continue
             # Collect a link chain: consecutive SQEs joined by IO_LINK.
@@ -233,6 +228,7 @@ class IoUring:
             if len(chain) == 1:
                 # A trailing IO_LINK with nothing behind it: plain dispatch.
                 request = yield from self.blk.submit_bio(core, chain[0].bio)
+                _record_rings(chain[0].bio, request)
                 self._arm_completion(chain[0], request)
             else:
                 self.env.process(self._run_chain(chain, core), name=f"{self.name}.link")
@@ -249,6 +245,7 @@ class IoUring:
                 self._wake_cq_waiter()
                 continue
             request = yield from self.blk.submit_bio(core, sqe.bio)
+            _record_rings(sqe.bio, request)
             self.blk.flush_plug(core)
             yield request.completion
             if request.error or request.status:
@@ -265,12 +262,7 @@ class IoUring:
             request.completion.callbacks.append(on_complete)
 
     def _post_cqe(self, sqe: Sqe, request) -> Generator:
-        if self.blk.tracer is not None:
-            self._complete_t0[sqe.user_data] = (
-                request.req_id,
-                self.env.now,
-                getattr(sqe.bio, "_obs_root", None),
-            )
+        self._complete_t0[sqe.user_data] = (self.env.now, sqe.bio.obs_span)
         yield from self.core.run(self.costs.post_cqe_ns)
         if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.READ:
             yield from self.kernel.copy(self.core, sqe.length)

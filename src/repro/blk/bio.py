@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Optional
 
 from ..errors import BlockLayerError
+from ..obs.context import NULL_SPAN
 from ..status import BlkStatus
 
 SECTOR = 512
@@ -41,6 +42,9 @@ class Bio:
     #: down the whole stack (request -> driver -> RADOS op) so the OSD
     #: scheduler can attribute the IO.
     tenant: str = ""
+    #: Root of the op's causal span tree (not a field: traced stacks set
+    #: it per bio, untraced bios share the class-level null span).
+    obs_span = NULL_SPAN
 
     def __post_init__(self):
         if self.sector < 0:
@@ -79,6 +83,9 @@ class Request:
     #: Completion event, created by the block layer at submit time and
     #: fired by the driver (value = the request itself).
     completion: Optional[object] = None
+    #: Causal span tree of the request: its head bio's root (not a
+    #: field: traced stacks set it, untraced requests share the null span).
+    obs_span = NULL_SPAN
 
     def __post_init__(self):
         if not self.bios:

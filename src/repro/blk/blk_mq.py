@@ -21,6 +21,7 @@ from typing import Callable, Generator, Optional
 from ..errors import BlockLayerError
 from ..host import HostKernel
 from ..host.cpu import CpuCore
+from ..obs.context import NULL_TRACER
 from ..sim import NULL_METRICS, Environment, Semaphore
 from .bio import Bio, Request
 from .scheduler import scheduler_factory
@@ -69,11 +70,9 @@ class HardwareContext:
         index: int,
         config: BlkMqConfig,
         queue_rq: QueueRq,
-        tracer=None,
         metrics=None,
     ):
         self.env = env
-        self.tracer = tracer
         self.index = index
         self.config = config
         self.scheduler = scheduler_factory(config.scheduler)
@@ -112,13 +111,9 @@ class HardwareContext:
                 self.dispatched += 1
                 self._m_dispatched.add()
                 self.depth_series.record(self.env.now, self.config.tags_per_queue - self.tags.tokens)
-                if self.tracer is not None and request.submitted_at >= 0:
-                    self.tracer.record(request.req_id, "dmq", request.submitted_at, self.env.now)
-                    span = getattr(request, "_obs_span", None)
-                    if span is not None:
-                        span.record(
-                            "dmq", "queue", request.submitted_at, self.env.now, hctx=self.index
-                        )
+                request.obs_span.record(
+                    "dmq", "queue", request.submitted_at, self.env.now, hctx=self.index
+                )
                 self.queue_rq(request)
                 self._arm_tag_release(request)
         finally:
@@ -139,11 +134,9 @@ class HardwareContext:
         failed = bool(request.status or request.error)
         if failed:
             self._m_req_errors.add()
-        span = getattr(request, "_obs_span", None)
-        if span is not None:
-            # Close the tree at driver completion; the API engine's
-            # reaper may extend it to CQE delivery afterwards.
-            span.finish(ok=not failed)
+        # Close the tree at driver completion; the API engine's reaper
+        # may extend it to CQE delivery afterwards.
+        request.obs_span.finish(ok=not failed)
         # Freed capacity may unblock queued work.
         self.kick()
 
@@ -162,8 +155,9 @@ class BlockLayer:
     ):
         self.env = env
         self.kernel = kernel
-        #: Optional repro.trace.Tracer recording lifecycle spans.
-        self.tracer = tracer
+        #: Causal tracer the engines root their ops' span trees in
+        #: (the null tracer when the stack is untraced).
+        self.tracer = tracer or NULL_TRACER
         #: MetricsRegistry shared by the whole stack (no-op by default).
         self.metrics = metrics or NULL_METRICS
         #: Set by ``repro.obs.health.HealthLayer.attach``: client-side
@@ -174,7 +168,7 @@ class BlockLayer:
         if self.config.num_hw_queues < 1:
             raise BlockLayerError("need at least one hardware queue")
         self.hctxs = [
-            HardwareContext(env, i, self.config, queue_rq, tracer=tracer, metrics=self.metrics)
+            HardwareContext(env, i, self.config, queue_rq, metrics=self.metrics)
             for i in range(self.config.num_hw_queues)
         ]
         self._rr = 0
@@ -234,37 +228,27 @@ class BlockLayer:
             plugged = self._plug_for(core.core_id)
             last = plugged.get(bio.op.value)
             if last is not None and last.dispatched_at < 0 and last.can_merge(bio):
-                last.merge(bio)
-                self.merges += 1
-                self._m_merges.add()
-                span = getattr(last, "_obs_span", None)
-                if span is not None:
-                    span.meta["merged_bios"] = span.meta.get("merged_bios", 0) + 1
+                self._merge(last, bio)
                 return last
             if last is not None:
                 self._hctx_for(core).insert(last)  # evict the plugged request
             request = self._new_request(bio)
-            self._record_rings(bio, request)
             plugged[bio.op.value] = request
             return request
         hctx = self._hctx_for(core)
         yield from core.run(config.submit_cost_ns + hctx.scheduler.insert_cost_ns)
         if not config.merge_enabled:
             request = self._new_request(bio)
-            self._record_rings(bio, request)
             hctx.insert(request)
             return request
         plugged = self._plug_for(core.core_id)
         last = plugged.get(bio.op.value)
         if last is not None and last.dispatched_at < 0 and last.can_merge(bio):
-            last.merge(bio)
-            self.merges += 1
-            self._m_merges.add()
+            self._merge(last, bio)
             return last
         if last is not None:
             hctx.insert(last)  # evict the previous plugged request
         request = self._new_request(bio)
-        self._record_rings(bio, request)
         plugged[bio.op.value] = request
         return request
 
@@ -275,31 +259,19 @@ class BlockLayer:
         request = Request([bio], req_id=next(self._req_ids))
         request.submitted_at = self.env.now
         request.completion = self.env.event()
-        tracer = self.tracer
-        if tracer is not None and bio.tenant:
-            tracer.tag_request(request.req_id, bio.tenant)
-        if tracer is not None and tracer.causal:
-            # Adopt the root opened at SQE prep; engines that do not
-            # pre-stamp one (sync/libaio paths) get it rooted here.
-            root = getattr(bio, "_obs_root", None)
-            if root is None:
-                root = tracer.start_root(bio.op.value, size=bio.size)
-                bio._obs_root = root
-            root.annotate(req_id=request.req_id)
-            if bio.tenant:
-                root.annotate(tenant=bio.tenant)
-            request._obs_span = root
+        # The request's tree is the one its head bio was submitted in.
+        self.tracer.bind_request(request, bio)
         return request
 
-    def _record_rings(self, bio: Bio, request: Request) -> None:
-        """Attribute the time between SQE prep and block-layer entry to
-        the io_uring 'rings' stage (stamped by the API engine)."""
-        t0 = getattr(bio, "_trace_t0", None)
-        if self.tracer is not None and t0 is not None:
-            self.tracer.record(request.req_id, "rings", t0, request.submitted_at)
-            span = getattr(request, "_obs_span", None)
-            if span is not None:
-                span.record("rings", "stage", t0, request.submitted_at)
+    def _merge(self, request: Request, bio: Bio) -> None:
+        """Back-merge ``bio`` into the plugged ``request``."""
+        request.merge(bio)
+        self.merges += 1
+        self._m_merges.add()
+        request.obs_span.annotate(merged_bios=len(request.bios) - 1)
+        # The merged bio completes with the request: its own tree files
+        # under the request's id.
+        bio.obs_span.annotate(req_id=request.req_id)
 
     def flush_plug(self, core: CpuCore) -> None:
         """Push the core's plugged requests into their hardware queues.

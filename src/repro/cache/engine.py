@@ -24,8 +24,8 @@ In **pass-through** mode every call delegates untouched — no events, no
 spans, no metrics — making the cached stack event-identical to an
 uncached one (the golden-trace guarantee).
 
-Span trees: when a causal ``ctx`` is passed, each access grows one
-``cache`` child annotated with hit/miss/bypass counts, and every
+Span trees: on a traced stack, each access grows one ``cache`` child of
+the op's causal ``ctx``, annotated with hit/miss/bypass counts, and every
 backend leg (line fill, write-through, flush) nests under it — critical
 -path attribution shows exactly whether a request was gated by the
 cache device or the fabric.
@@ -37,7 +37,7 @@ from collections import OrderedDict
 from typing import Generator, Optional
 
 from ..errors import StorageError
-from ..obs.context import wrap_span
+from ..obs.context import NULL_SPAN, wrap_span
 from ..osd.rbd import RBDImage
 from ..sim import NULL_METRICS
 from .classify import IoClassifier, IoDesc
@@ -237,7 +237,7 @@ class CachedImage:
 
     # -- flush / invalidate --------------------------------------------------------
 
-    def _flush_line(self, line: CacheLine, ctx=None) -> Generator:
+    def _flush_line(self, line: CacheLine, ctx=NULL_SPAN) -> Generator:
         """Process: write one dirty line back to the backend.
 
         Concurrent flushes of the same line coalesce onto one backend
@@ -269,7 +269,7 @@ class CachedImage:
             ev.succeed(None)
         self._refresh_gauges()
 
-    def flush_lines(self, lines: list[CacheLine], reason: str = "", ctx=None) -> Generator:
+    def flush_lines(self, lines: list[CacheLine], reason: str = "", ctx=NULL_SPAN) -> Generator:
         """Process: write a batch of dirty lines back, in parallel."""
         procs = [
             self.env.process(self._flush_line(line, ctx=ctx), name=f"cache.flush.{reason}")
@@ -278,7 +278,7 @@ class CachedImage:
         if procs:
             yield self.env.all_of(procs)
 
-    def flush(self, ctx=None) -> Generator:
+    def flush(self, ctx=NULL_SPAN) -> Generator:
         """Process: write back every dirty line (durable on return).
 
         Loops until no dirty line remains, so writes that race with the
@@ -298,7 +298,7 @@ class CachedImage:
         self._refresh_gauges()
         return dropped
 
-    def _sync_epoch(self, ctx=None) -> Generator:
+    def _sync_epoch(self, ctx=NULL_SPAN) -> Generator:
         """Process: on an OSDMap epoch bump, flush dirty data and drop
         every resident line before serving the access.
 
@@ -363,7 +363,7 @@ class CachedImage:
 
     # -- backend helpers ----------------------------------------------------------
 
-    def _fetch_line(self, line_off: int, line_len: int, ctx=None, tenant: str = "") -> Generator:
+    def _fetch_line(self, line_off: int, line_len: int, ctx=NULL_SPAN, tenant: str = "") -> Generator:
         """Process: read one full (clamped) line from the backend.
 
         ``tenant`` attributes the fill to the op that missed; lazy
@@ -372,12 +372,9 @@ class CachedImage:
         data = yield from self.image.read(line_off, line_len, ctx=ctx, tenant=tenant)
         return data
 
-    def _leg(self, span, name: str, **meta):
-        return span.child(name, "fanout", **meta) if span is not None else None
-
     # -- the datapath --------------------------------------------------------------
 
-    def read(self, offset: int, length: int, ctx=None, tenant: str = "") -> Generator:
+    def read(self, offset: int, length: int, ctx=NULL_SPAN, tenant: str = "") -> Generator:
         """Process: cached read; returns bytes (read-your-writes exact)."""
         config = self.config
         if config.mode is CacheMode.PASS_THROUGH:
@@ -388,11 +385,7 @@ class CachedImage:
         yield from self._sync_epoch(ctx=ctx)
         run = self._streams.update(offset, length)
         desc = IoDesc("read", length, sequential=run > length)
-        span = (
-            ctx.child("cache", "cache", mode=config.mode.value, op="read")
-            if ctx is not None
-            else None
-        )
+        span = ctx.child("cache", "cache", mode=config.mode.value, op="read")
         segs = self._segments(offset, length)
         bypass = (
             config.seq_cutoff_bytes > 0
@@ -408,8 +401,7 @@ class CachedImage:
             try:
                 data = yield from self.image.read(offset, length, ctx=span, tenant=tenant)
             finally:
-                if span is not None:
-                    span.finish(bypass=True)
+                span.finish(bypass=True)
             return data
         klass = self.classifier.classify(desc)
         now = self.env.now
@@ -426,7 +418,7 @@ class CachedImage:
                 parts[line_id] = bytes(line.data[rel : rel + seg_len])
             else:
                 misses += 1
-                leg = self._leg(span, f"fill.{line_id}", line=line_id)
+                leg = span.child(f"fill.{line_id}", "fanout", line=line_id)
                 fetches[line_id] = self.env.process(
                     wrap_span(leg, self._fetch_line(line_off, line_len, ctx=leg, tenant=tenant)),
                     name="cache.fill",
@@ -462,12 +454,11 @@ class CachedImage:
             # Filling the cache device costs its write bandwidth.
             yield self.env.timeout(config.write_cost_ns(inserted_bytes))
         self._refresh_gauges()
-        if span is not None:
-            span.finish(hits=hits, misses=misses)
+        span.finish(hits=hits, misses=misses)
         return b"".join(parts[s[0]] for s in segs)
 
     def write(
-        self, offset: int, data: bytes, sequential: bool = False, ctx=None,
+        self, offset: int, data: bytes, sequential: bool = False, ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: cached write under the configured mode."""
@@ -481,11 +472,7 @@ class CachedImage:
         yield from self._sync_epoch(ctx=ctx)
         run = self._streams.update(offset, length)
         desc = IoDesc("write", length, sequential=sequential or run > length)
-        span = (
-            ctx.child("cache", "cache", mode=config.mode.value, op="write")
-            if ctx is not None
-            else None
-        )
+        span = ctx.child("cache", "cache", mode=config.mode.value, op="write")
         bypass = config.seq_cutoff_bytes > 0 and (
             run >= config.seq_cutoff_bytes
             or (sequential and length >= config.seq_cutoff_bytes)
@@ -498,8 +485,7 @@ class CachedImage:
                     offset, data, sequential=sequential, ctx=span, tenant=tenant
                 )
             finally:
-                if span is not None:
-                    span.finish(bypass=bypass)
+                span.finish(bypass=bypass)
             # Only after the backend write is durable may resident copies
             # change, so a failed write cannot strand stale "clean" data.
             self._update_resident(offset, data)
@@ -509,8 +495,7 @@ class CachedImage:
         else:
             yield from self._write_back(offset, data, desc, span, tenant)
         self._refresh_gauges()
-        if span is not None:
-            span.finish()
+        span.finish()
 
     # -- write helpers -------------------------------------------------------------
 
@@ -543,7 +528,7 @@ class CachedImage:
         miss would need a read-fill just to hold data the backend
         already has, so it stays uncached until a read promotes it.
         """
-        leg = self._leg(span, "backend", op="write")
+        leg = span.child("backend", "fanout", op="write")
         yield from wrap_span(leg, self.image.write(
             offset, data, sequential=sequential, ctx=leg, tenant=tenant,
         ))
@@ -606,7 +591,7 @@ class CachedImage:
             else:
                 # Partial-line miss: read-fill so the whole line is
                 # valid, then overlay the new bytes and dirty it.
-                leg = self._leg(span, f"fill.{line_id}", line=line_id)
+                leg = span.child(f"fill.{line_id}", "fanout", line=line_id)
                 fills[line_id] = self.env.process(
                     wrap_span(leg, self._fetch_line(line_off, line_len, ctx=leg, tenant=tenant)),
                     name="cache.fill",
@@ -615,7 +600,7 @@ class CachedImage:
                 cached_bytes += line_len
         backend_procs = []
         for seg_off, seg_len in _coalesce(backend_segs):
-            leg = self._leg(span, "backend", op="write")
+            leg = span.child("backend", "fanout", op="write")
             rel = seg_off - offset
             backend_procs.append(self.env.process(
                 wrap_span(leg, self.image.write(

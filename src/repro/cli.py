@@ -437,7 +437,7 @@ def _cmd_trace(args) -> int:
         print("trace: lifecycle stages are instrumented for the hardware stacks",
               file=sys.stderr)
         return 2
-    fw = build_framework(cfg, trace=True)
+    fw = build_framework(cfg, obs=True)
     job = FioJob("trace", args.rw, bs=args.bs, iodepth=1, nrequests=args.nrequests)
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()

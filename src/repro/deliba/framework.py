@@ -26,10 +26,10 @@ from ..driver import NbdConfig, NbdDriver, RbdKmodConfig, RbdKmodDriver, UifdCon
 from ..errors import BenchmarkError
 from ..fpga import Accelerator, AlveoU280, PcieLink, QdmaEngine, spec_by_name
 from ..host import HostKernel
+from ..obs.context import CausalTracer
 from ..osd import CephCluster, ClusterSpec, Pool, RBDImage, build_cluster
 from ..sim import NULL_METRICS, Environment, MetricsRegistry, RngRegistry
 from ..units import kib, mib
-from ..trace import Tracer
 from ..workloads.fio import FioJob
 from .config import FrameworkConfig
 
@@ -81,8 +81,8 @@ class FrameworkInstance:
         self.qdma = qdma
         self.accelerators = accelerators or {}
         self.rng = RngRegistry(cluster.spec.seed)
-        #: Lifecycle tracer (populated when built with ``trace=True``).
-        self.tracer: Optional[Tracer] = None
+        #: Causal tracer (populated when built with ``obs=True``).
+        self.tracer: Optional[CausalTracer] = None
         #: Client-side cache tier (populated when built with ``cache=...``).
         self.cache: Optional[CachedImage] = None
         #: Always-on health layer (populated when built with ``health=...``).
@@ -189,7 +189,6 @@ def build_framework(
     image_size: int = mib(256),
     object_size: Optional[int] = None,
     seed: int = 0,
-    trace: bool = False,
     obs: bool = False,
     metrics: Union[bool, MetricsRegistry] = False,
     cache: Optional[CacheConfig] = None,
@@ -205,12 +204,12 @@ def build_framework(
     bit-identical either way.  Pass an existing registry to share one
     across frameworks.
 
-    ``obs=True`` upgrades the tracer to a causal
-    :class:`repro.obs.CausalTracer` (implies ``trace``): in addition to
-    the flat stage stream, every request grows a span *tree* with
-    parent/child edges at each layer hand-off, fan-out, and retry leg —
-    the input to ``python -m repro profile``.  Neither tracer changes
-    the simulated event stream.
+    ``obs=True`` attaches a :class:`repro.obs.CausalTracer` as
+    ``fw.tracer``: every request grows a span *tree* with parent/child
+    edges at each layer hand-off, fan-out, and retry leg — the input to
+    ``python -m repro profile`` — and the tracer renders the six-stage
+    lifecycle view of the forest (``python -m repro trace``).  Tracing
+    does not change the simulated event stream.
 
     ``cache=CacheConfig(...)`` interposes an Open-CAS-style client block
     cache (:class:`repro.cache.CachedImage`) between the driver and the
@@ -257,12 +256,7 @@ def build_framework(
         cache_tier = CachedImage(image, cache, metrics=registry)
         image = cache_tier
     kernel = HostKernel(env)
-    if obs:
-        from ..obs.context import CausalTracer
-
-        tracer: Optional[Tracer] = CausalTracer(env)
-    else:
-        tracer = Tracer(env) if trace else None
+    tracer = CausalTracer(env) if obs else None
 
     fpga = qdma = None
     accelerators: dict[str, Accelerator] = {}
@@ -287,7 +281,6 @@ def build_framework(
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),
             hardware=config.hardware,
-            tracer=tracer,
         )
     else:
         driver = UifdDriver(
@@ -299,7 +292,6 @@ def build_framework(
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),
             hardware=config.hardware,
-            tracer=tracer,
             metrics=registry,
         )
 

@@ -27,6 +27,7 @@ from ..errors import DriverError, StorageError
 from ..fpga.accelerators import Accelerator
 from ..fpga.qdma import QdmaEngine, QueuePurpose, QueueSet
 from ..host import HostKernel
+from ..obs.context import NULL_SPAN
 from ..osd.osdmap import PoolType
 from ..osd.rbd import RBDImage
 from ..sim import Environment, Resource
@@ -77,7 +78,6 @@ class NbdDriver:
         ec_accel: Optional[Accelerator] = None,
         hardware: bool = True,
         shared_daemon: Optional[Resource] = None,
-        tracer=None,
     ):
         if hardware:
             if qdma is None or crush_accel is None:
@@ -86,8 +86,6 @@ class NbdDriver:
                 raise DriverError("EC pool needs the RS accelerator")
         self.env = env
         self.kernel = kernel
-        #: Optional repro.trace.Tracer for lifecycle spans.
-        self.tracer = tracer
         self.image = image
         self.config = config or NbdConfig()
         self.hardware = hardware
@@ -116,8 +114,7 @@ class NbdDriver:
         self.env.process(self._handle(request), name=f"nbd.rq{request.req_id}")
 
     def _handle(self, request: Request) -> Generator:
-        trace = self.tracer
-        root = getattr(request, "_obs_span", None)
+        root = request.obs_span
         t0 = self.env.now
         # Kernel NBD client -> socket -> daemon: context switches plus
         # payload copies (counts differ per generation; paper Section III).
@@ -125,17 +122,15 @@ class NbdDriver:
             yield from self.kernel.context_switch(self.core)
         for _ in range(self.config.copies):
             yield from self.kernel.copy(self.core, request.size)
-        if root is not None:
-            root.record(
-                "nbd", "ipc", t0, self.env.now,
-                crossings=self.config.crossings, copies=self.config.copies,
-            )
+        root.record(
+            "nbd", "ipc", t0, self.env.now,
+            crossings=self.config.crossings, copies=self.config.copies,
+        )
         # The single-threaded daemon serializes request handling.
         tq = self.env.now
         req = self._daemon.request()
         yield req
-        if root is not None:
-            root.record("daemon", "queue", tq, self.env.now)
+        root.record("daemon", "queue", tq, self.env.now)
         try:
             yield from self.core.run(self.config.daemon_cost_ns)
             first = request.bios[0].offset // self.image.object_size
@@ -145,10 +140,7 @@ class NbdDriver:
                 if request.op == IoOp.WRITE:
                     t1 = self.env.now
                     yield from self.qdma.h2c_transfer(self.queue, request.size)
-                    if trace:
-                        trace.record(request.req_id, "qdma", t1, self.env.now)
-                    if root is not None:
-                        root.record("qdma", "dma", t1, self.env.now, dir="h2c")
+                    root.record("qdma", "dma", t1, self.env.now, dir="h2c")
                 t1 = self.env.now
                 if self.config.passive_offload:
                     # D1: each placement is a host-driven FPGA round trip
@@ -165,10 +157,7 @@ class NbdDriver:
                     yield from self.crush_accel.process(objects)
                 if self.image.pool.pool_type == PoolType.ERASURE and request.op == IoOp.WRITE:
                     yield from self.ec_accel.process(max(1, request.size // 32))
-                if trace:
-                    trace.record(request.req_id, "accel", t1, self.env.now)
-                if root is not None:
-                    root.record("accel", "compute", t1, self.env.now, objects=objects)
+                root.record("accel", "compute", t1, self.env.now, objects=objects)
             else:
                 # No-FPGA baseline: placement (and EC) on the host CPU,
                 # with the profiled cost paid on placement-cache misses.
@@ -178,26 +167,18 @@ class NbdDriver:
                 )
                 if self.image.pool.pool_type == PoolType.ERASURE and request.op == IoOp.WRITE:
                     yield from self.core.run(self.config.sw_ec_encode_ns * objects)
-                if root is not None:
-                    root.record("placement", "compute", t1, self.env.now, objects=objects)
-            t1 = self.env.now
-            fab = root.child("fabric", "net") if root is not None else None
+                root.record("placement", "compute", t1, self.env.now, objects=objects)
+            fab = root.child("fabric", "net")
             ok = False
             try:
                 yield from self._image_io(request, ctx=fab)
                 ok = True
             finally:
-                if fab is not None:
-                    fab.finish(ok=ok)
-                if trace:
-                    trace.record(request.req_id, "fabric", t1, self.env.now)
+                fab.finish(ok=ok)
             if self.hardware and request.op == IoOp.READ:
                 t1 = self.env.now
                 yield from self.qdma.c2h_transfer(self.queue, request.size)
-                if trace:
-                    trace.record(request.req_id, "qdma", t1, self.env.now)
-                if root is not None:
-                    root.record("qdma", "dma", t1, self.env.now, dir="c2h")
+                root.record("qdma", "dma", t1, self.env.now, dir="c2h")
         except StorageError as exc:
             request.fail_from_exc(exc)
         finally:
@@ -208,7 +189,7 @@ class NbdDriver:
         self.requests_completed += 1
         request.completion.succeed(request)
 
-    def _image_io(self, request: Request, ctx=None) -> Generator:
+    def _image_io(self, request: Request, ctx=NULL_SPAN) -> Generator:
         saved = self.image.direct
         self.image.direct = True  # DeLiBA fan-out runs on the card
         try:

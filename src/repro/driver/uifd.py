@@ -27,6 +27,7 @@ from ..errors import DriverError, StorageError
 from ..fpga.accelerators import Accelerator
 from ..fpga.qdma import QdmaEngine, QueuePurpose, QueueSet
 from ..host import HostKernel
+from ..obs.context import NULL_SPAN
 from ..osd.osdmap import PoolType
 from ..osd.rbd import RBDImage
 from ..sim import NULL_METRICS, Environment
@@ -70,13 +71,10 @@ class UifdDriver:
         ec_accel: Optional[Accelerator] = None,
         function: int = 0,
         hardware: bool = True,
-        tracer=None,
         metrics=None,
     ):
         self.env = env
         self.kernel = kernel
-        #: Optional repro.trace.Tracer for lifecycle spans.
-        self.tracer = tracer
         metrics = metrics or NULL_METRICS
         self._m_requests = metrics.counter("driver.uifd.requests")
         self._m_request_ns = metrics.latency("driver.uifd.request_ns")
@@ -113,11 +111,10 @@ class UifdDriver:
 
     def _handle(self, request: Request) -> Generator:
         t0 = self.env.now
-        root = getattr(request, "_obs_span", None)
+        root = request.obs_span
         yield from self.core.run(self.config.driver_cost_ns)
-        if root is not None:
-            # Driver CPU: descriptor build, doorbell, unmap.
-            root.record("uifd", "driver", t0, self.env.now)
+        # Driver CPU: descriptor build, doorbell, unmap.
+        root.record("uifd", "driver", t0, self.env.now)
         try:
             if self.hardware:
                 yield from self._handle_hw(request, root)
@@ -143,52 +140,39 @@ class UifdDriver:
         last = (request.bios[0].offset + request.size - 1) // self.image.object_size
         return last - first + 1
 
-    def _handle_hw(self, request: Request, ctx=None) -> Generator:
+    def _handle_hw(self, request: Request, ctx=NULL_SPAN) -> Generator:
         is_ec = self.image.pool.pool_type == PoolType.ERASURE
-        trace = self.tracer
         if request.op == IoOp.WRITE:
             # Payload DMA to the card before the FPGA fans it out.
             t0 = self.env.now
             yield from self.qdma.h2c_transfer(self.queue, request.size)
-            if trace:
-                trace.record(request.req_id, "qdma", t0, self.env.now)
-            if ctx is not None:
-                ctx.record("qdma", "dma", t0, self.env.now, dir="h2c")
+            ctx.record("qdma", "dma", t0, self.env.now, dir="h2c")
         # In-datapath CRUSH placement: pipelined, one item per object.
         t0 = self.env.now
-        self._m_placements.add(self._objects_touched(request))
-        yield from self.crush_accel.process(self._objects_touched(request))
+        objects = self._objects_touched(request)
+        self._m_placements.add(objects)
+        yield from self.crush_accel.process(objects)
         if is_ec and request.op == IoOp.WRITE:
             # RS encoder streams the payload in 32 B beats.
             yield from self.ec_accel.process(max(1, request.size // 32))
-        if trace:
-            trace.record(request.req_id, "accel", t0, self.env.now)
-        if ctx is not None:
-            ctx.record("accel", "compute", t0, self.env.now, objects=self._objects_touched(request))
-        t0 = self.env.now
-        fab = ctx.child("fabric", "net") if ctx is not None else None
+        ctx.record("accel", "compute", t0, self.env.now, objects=objects)
+        fab = ctx.child("fabric", "net")
         ok = False
         try:
             yield from self._image_io(request, direct=True, ctx=fab)
             ok = True
         finally:
-            if fab is not None:
-                fab.finish(ok=ok)
-            if trace:
-                trace.record(request.req_id, "fabric", t0, self.env.now)
+            fab.finish(ok=ok)
         if request.op == IoOp.READ:
             t0 = self.env.now
             yield from self.qdma.c2h_transfer(self.queue, request.size)
-            if trace:
-                trace.record(request.req_id, "qdma", t0, self.env.now)
-            if ctx is not None:
-                ctx.record("qdma", "dma", t0, self.env.now, dir="c2h")
+            ctx.record("qdma", "dma", t0, self.env.now, dir="c2h")
         if not self.config.polled_completion:
             yield from self.kernel.interrupt(self.core)
 
     # -- software baseline --------------------------------------------------------------
 
-    def _handle_sw(self, request: Request, ctx=None) -> Generator:
+    def _handle_sw(self, request: Request, ctx=NULL_SPAN) -> Generator:
         objects = self._objects_touched(request)
         t0 = self.env.now
         self._m_placements.add(objects)
@@ -200,20 +184,18 @@ class UifdDriver:
             # Client-side encode (with direct=False the primary OSD
             # encodes and charges its own cost instead).
             yield from self.core.run(self.config.sw_ec_encode_ns * objects)
-        if ctx is not None:
-            ctx.record("placement", "compute", t0, self.env.now, objects=objects)
-        fab = ctx.child("fabric", "net") if ctx is not None else None
+        ctx.record("placement", "compute", t0, self.env.now, objects=objects)
+        fab = ctx.child("fabric", "net")
         ok = False
         try:
             yield from self._image_io(request, direct=fanout, ctx=fab)
             ok = True
         finally:
-            if fab is not None:
-                fab.finish(ok=ok)
+            fab.finish(ok=ok)
 
     # -- common ---------------------------------------------------------------------------
 
-    def _image_io(self, request: Request, direct: bool, ctx=None) -> Generator:
+    def _image_io(self, request: Request, direct: bool, ctx=NULL_SPAN) -> Generator:
         saved = self.image.direct
         self.image.direct = direct
         try:

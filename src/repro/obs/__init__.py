@@ -4,13 +4,15 @@ Three pieces (ISSUE 5 tentpole):
 
 * :mod:`~repro.obs.context` — :class:`CausalTracer` and the
   :class:`SpanNode` trees it grows: one per workload op, with
-  parent/child edges at every layer hand-off, fan-out, and retry leg;
+  parent/child edges at every layer hand-off, fan-out, and retry leg
+  (and :data:`NULL_SPAN`/:data:`NULL_TRACER`, what layers of an
+  untraced stack see);
 * :mod:`~repro.obs.critical_path` — exact attribution of end-to-end
   latency to the spans that gated it, plus straggler-slack reporting;
 * :mod:`~repro.obs.sampler` / :mod:`~repro.obs.digest` /
   :mod:`~repro.obs.export` — continuous resource telemetry, streaming
-  per-stage percentile digests, and Perfetto/flamegraph/Prometheus
-  export;
+  per-stage percentile digests, Perfetto/flamegraph/Prometheus export,
+  and the paper's six-stage lifecycle view of the span forest;
 * :mod:`~repro.obs.slowop` / :mod:`~repro.obs.flight` /
   :mod:`~repro.obs.health` — the always-on cluster health layer
   (ISSUE 10 tentpole): adaptive slow-op detection, a tail-sampling
@@ -29,7 +31,7 @@ the sampler changes no simulated event, so goldens and benchmark
 numbers are identical with observability on or off.
 """
 
-from .context import CausalTracer, SpanNode, wrap_span
+from .context import NULL_SPAN, NULL_TRACER, CausalTracer, SpanNode, wrap_span
 from .critical_path import (
     CriticalPath,
     PathSegment,
@@ -41,6 +43,7 @@ from .critical_path import (
 )
 from .digest import StreamingDigest
 from .export import (
+    STAGES,
     escape_label_value,
     export_flamegraph,
     export_perfetto,
@@ -48,6 +51,8 @@ from .export import (
     export_span_trees,
     folded_stacks,
     prometheus_name,
+    stage_spans,
+    stage_tenants,
     to_perfetto,
     to_prometheus,
     validate_trace_document,
@@ -88,6 +93,9 @@ def __getattr__(name: str):
 
 __all__ = [
     *_PROFILE_EXPORTS,
+    "NULL_SPAN",
+    "NULL_TRACER",
+    "STAGES",
     "CausalTracer",
     "CriticalPath",
     "FlightRecorder",
@@ -121,6 +129,8 @@ __all__ = [
     "install_framework_probes",
     "prometheus_name",
     "root_cause",
+    "stage_spans",
+    "stage_tenants",
     "stragglers",
     "telemetry_summary",
     "to_perfetto",

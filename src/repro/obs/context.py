@@ -1,14 +1,11 @@
-"""Causal trace context: span *trees* over the flat six-stage tracer.
+"""Causal trace context: one span *tree* per workload operation.
 
-The flat :class:`repro.trace.Tracer` answers "how long did request 17
-spend in ``fabric``?"; it cannot answer "which of the write's replica
-legs gated completion" or "did the chaos retry re-enter the fabric
-twice".  :class:`CausalTracer` keeps the flat stream (it *is* a Tracer,
-so every existing ``record``/``summary`` call site works unchanged) and
-additionally grows one :class:`SpanNode` tree per workload operation:
+:class:`CausalTracer` grows one :class:`SpanNode` tree per workload
+operation:
 
-* the **root** is created when the API engine prepares the SQE (or,
-  for engines that do not pre-stamp one, when the bio enters blk-mq);
+* the **root** is opened where the op enters the kernel interface: at
+  SQE preparation (io_uring), at the blocking syscall (read/write), or,
+  for engines that do not pre-stamp one, when the bio enters blk-mq;
 * each datapath layer appends a **child** covering its own interval
   (``rings``, ``dmq``, ``uifd``/``nbd``, ``qdma``, ``accel``,
   ``fabric``, ``complete``);
@@ -16,6 +13,15 @@ additionally grows one :class:`SpanNode` tree per workload operation:
   shard dispatch, primary sub-ops — and every retry/failover leg under
   an :class:`repro.osd.policy.OpPolicy` adds one child per leg, so the
   tree records *why* the op took as long as it did.
+
+The paper's six-stage lifecycle view (Fig. 2) is a projection of these
+trees, computed by :mod:`repro.obs.export`; the tracer's ``summary``,
+``breakdown_table`` and Chrome/CSV exports render it.
+
+Untraced stacks hand every layer :data:`NULL_TRACER`, whose ops carry
+:data:`NULL_SPAN`: a stateless span that takes every call and records
+nothing, so hook sites need no tracing conditionals (the way
+:data:`repro.sim.NULL_METRICS` stands in for instruments).
 
 Span recording never creates simulation events: timestamps are read
 from ``env.now`` and everything else is plain Python bookkeeping, so a
@@ -29,10 +35,18 @@ identical trees — the double-run determinism tests rely on it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+import pathlib
+from types import MappingProxyType
+from typing import Iterator, Optional, Union
 
 from ..errors import ReproError
-from ..trace import Tracer
+from .export import (
+    export_stage_csv,
+    export_stage_trace,
+    stage_breakdown_table,
+    stage_summary,
+    to_stage_trace,
+)
 
 
 class SpanNode:
@@ -150,19 +164,67 @@ class SpanNode:
         return f"<SpanNode #{self.span_id} {self.name}/{self.kind} {state} kids={len(self.children)}>"
 
 
-class CausalTracer(Tracer):
-    """A :class:`Tracer` that additionally records causal span trees.
+class NullSpan:
+    """The span of an untraced op: takes every call, keeps nothing.
 
-    Drop-in: every flat-tracer call site (``record``, ``summary``,
-    ``breakdown_table``, the Chrome/CSV exports) behaves identically;
-    layers that know about causality check :attr:`causal` and attach
-    tree spans as well.
+    ``child`` and ``record`` return the null span itself, ``finish`` and
+    ``annotate`` ignore their arguments, and ``meta`` is a read-only
+    empty mapping, so the one shared instance can stand in at every hook
+    site without any state leaking between ops.
     """
 
-    causal = True
+    __slots__ = ()
+
+    start_ns = 0
+    meta = MappingProxyType({})
+    complete = False
+
+    def child(self, name: str, kind: str = "span", start_ns: Optional[int] = None, **meta) -> "NullSpan":
+        return self
+
+    def record(self, name: str, kind: str, start_ns: int, end_ns: int, **meta) -> "NullSpan":
+        return self
+
+    def finish(self, end_ns: Optional[int] = None, ok: bool = True, **meta) -> None:
+        pass
+
+    def annotate(self, **meta) -> None:
+        pass
+
+    def __repr__(self) -> str:
+        return "NULL_SPAN"
+
+
+#: The shared null span (see :class:`NullSpan`).
+NULL_SPAN = NullSpan()
+
+
+class NullTracer:
+    """The tracer of an untraced stack: no op ever gets a tree."""
+
+    __slots__ = ()
+
+    def open_root(self, bio) -> None:
+        pass
+
+    def bind_request(self, request, bio) -> None:
+        pass
+
+
+#: The shared null tracer (see :class:`NullTracer`).
+NULL_TRACER = NullTracer()
+
+
+class CausalTracer:
+    """Records one causal span tree per workload operation.
+
+    Layers reach the trees through the ops they handle (``bio``,
+    ``request`` and RADOS-op ``obs_span`` attributes); the tracer opens
+    the roots and renders the six-stage view of the forest.
+    """
 
     def __init__(self, env):
-        super().__init__(env)
+        self.env = env
         #: Root spans in creation (= submission) order.
         self.roots: list[SpanNode] = []
         self._span_ids = itertools.count(1)
@@ -183,6 +245,23 @@ class CausalTracer(Tracer):
         self.roots.append(root)
         return root
 
+    def open_root(self, bio) -> None:
+        """Root ``bio``'s tree now, where its API engine submits it."""
+        bio.obs_span = self.start_root(bio.op.value, size=bio.size)
+        if bio.tenant:
+            bio.obs_span.annotate(tenant=bio.tenant)
+
+    def bind_request(self, request, bio) -> None:
+        """Make the tree of ``bio`` (rooted now if its engine opened
+        none) the tree of the blk-mq ``request`` built from it."""
+        root = bio.obs_span
+        if root is NULL_SPAN:
+            root = bio.obs_span = self.start_root(bio.op.value, size=bio.size)
+        root.annotate(req_id=request.req_id)
+        if bio.tenant:
+            root.annotate(tenant=bio.tenant)
+        request.obs_span = root
+
     def complete_trees(self) -> list[SpanNode]:
         """Roots whose end-to-end interval is closed."""
         return [r for r in self.roots if r.complete]
@@ -191,22 +270,44 @@ class CausalTracer(Tracer):
         """Roots that never completed (op failed mid-flight / run ended)."""
         return [r for r in self.roots if not r.complete]
 
+    # -- the six-stage view ------------------------------------------------------
 
-def wrap_span(span: Optional[SpanNode], gen):
+    def summary(self) -> dict[str, float]:
+        """Mean microseconds per stage (see :func:`~repro.obs.export.stage_summary`)."""
+        return stage_summary(self.roots)
+
+    def breakdown_table(self) -> str:
+        """Mean per-stage latency contribution, and how much of the mean
+        request latency the six stages cover."""
+        return stage_breakdown_table(self.roots)
+
+    def to_chrome_trace(self) -> dict:
+        """The stage spans as a Chrome trace-event object (one lane per
+        stage, plus per-tenant lanes)."""
+        return to_stage_trace(self.roots)
+
+    def export_chrome_trace(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        """Write the stage Chrome trace-event JSON; returns the path written."""
+        return export_stage_trace(self.roots, path)
+
+    def export_csv(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
+        """Write the flat stage-span table; returns the path written."""
+        return export_stage_csv(self.roots, path)
+
+
+def wrap_span(span: Union[SpanNode, NullSpan], gen):
     """Process: run ``gen`` to completion, closing ``span`` either way.
 
     Used to time fan-out legs that run as spawned processes (RBD
     per-object writes, an OSD primary's local apply): the span closes
     when the leg's process finishes, with the error flag set if it
-    raised.  With ``span=None`` this is a transparent passthrough, so
-    call sites need no tracing conditionals around process creation.
+    raised.  With :data:`NULL_SPAN` this is a transparent passthrough,
+    so call sites need no tracing conditionals around process creation.
     """
     try:
         result = yield from gen
     except BaseException:
-        if span is not None:
-            span.finish(ok=False)
+        span.finish(ok=False)
         raise
-    if span is not None:
-        span.finish()
+    span.finish()
     return result

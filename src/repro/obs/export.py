@@ -11,16 +11,22 @@ overdrawn rectangle.
 pid layout:
   0 — request span trees (one tid per lane, metadata-named)
   1 — resource counter tracks
+
+The same forest also renders as the paper's six-stage lifecycle view
+(:data:`STAGES`): a per-stage latency summary, a Chrome trace with one
+lane per stage (plus per-tenant lanes) and a flat CSV of stage spans.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .context import SpanNode
+if TYPE_CHECKING:
+    from .context import SpanNode
 
 SPAN_PID = 0
 COUNTER_PID = 1
@@ -324,4 +330,201 @@ def export_span_trees(roots: Iterable[SpanNode], path) -> Path:
     double-run determinism test)."""
     path = Path(path)
     path.write_text(json.dumps([r.to_dict() for r in roots], indent=1))
+    return path
+
+
+# -- the six-stage lifecycle view -------------------------------------------------
+
+#: The six numbered optimizations of the paper's architecture figure, in
+#: report order: ``rings`` (io_uring submission/completion handling),
+#: ``dmq`` (the multi-queue block layer), ``qdma`` (descriptor + DMA over
+#: PCIe), ``accel`` (replication/EC accelerator compute), ``fabric``
+#: (network + OSD service) and ``complete`` (completion delivery back
+#: to the application).
+STAGES = ("rings", "dmq", "qdma", "accel", "fabric", "complete")
+
+_STAGE_INDEX = {stage: i for i, stage in enumerate(STAGES)}
+
+
+def stage_spans(roots: Iterable[SpanNode]) -> list[tuple[int, SpanNode]]:
+    """(request id, span) for every closed stage span of the forest.
+
+    A stage span is a closed top-level child of a root named after one
+    of :data:`STAGES`; it files under the root's block-layer request id
+    (``req_id``).  A bio merged into an earlier request carries that
+    request's id, so its ``complete`` span files under the request;
+    roots that never reached the block layer have no id and no stages.
+
+    Ordered by start time, then request id, then canonical stage order
+    (then end time): a pure function of the simulated run, so two
+    seeded runs export identical streams.
+    """
+    spans = [
+        (root.meta["req_id"], span)
+        for root in roots
+        if "req_id" in root.meta
+        for span in root.children
+        if span.name in _STAGE_INDEX and span.end_ns >= 0
+    ]
+    spans.sort(key=lambda e: (e[1].start_ns, e[0], _STAGE_INDEX[e[1].name], e[1].end_ns))
+    return spans
+
+
+def stage_tenants(roots: Iterable[SpanNode]) -> dict[int, str]:
+    """Request id -> tenant label, for QoS-tagged requests."""
+    return {
+        root.meta["req_id"]: root.meta["tenant"]
+        for root in roots
+        if "req_id" in root.meta and root.meta.get("tenant")
+    }
+
+
+def stage_summary(roots: Iterable[SpanNode]) -> dict[str, float]:
+    """Mean microseconds per stage across all traced requests.
+
+    Every request that *entered* a stage counts toward that stage's
+    mean, including zero-duration visits — filtering those out would
+    silently bias stage shares upward.
+
+    Requests that never reached ``complete`` (failed by chaos, or in
+    flight when the run ended) are surfaced under the ``"incomplete"``
+    key as a plain count: dropping them silently would bias chaos-run
+    breakdowns toward the survivors.
+    """
+    per_request: dict[int, dict[str, int]] = {}
+    for rid, span in stage_spans(roots):
+        stages = per_request.setdefault(rid, {})
+        stages[span.name] = stages.get(span.name, 0) + span.duration_ns
+    out: dict[str, float] = {}
+    for stage in STAGES:
+        vals = [stages[stage] for stages in per_request.values() if stage in stages]
+        if vals:
+            out[stage] = sum(vals) / len(vals) / 1000.0
+    incomplete = sum(1 for stages in per_request.values() if "complete" not in stages)
+    if incomplete:
+        out["incomplete"] = incomplete
+    return out
+
+
+def stage_breakdown_table(roots: Iterable[SpanNode]) -> str:
+    """Render the mean per-stage latency contribution.
+
+    The ``sum`` row sets the six-stage total against the mean latency of
+    the completed requests: the uncovered rest is time outside the six
+    stages (API entry, driver CPU, the NBD daemon's crossings and
+    copies).
+    """
+    roots = list(roots)
+    summary = stage_summary(roots)
+    incomplete = summary.pop("incomplete", 0)
+    total = sum(summary.values()) or 1.0
+    lines = ["stage      mean-us   share"]
+    for stage in STAGES:
+        if stage in summary:
+            lines.append(f"{stage:10s} {summary[stage]:7.2f}  {summary[stage] / total:6.1%}")
+    latencies = [root.duration_ns for root in roots if root.complete]
+    mean_us = sum(latencies) / len(latencies) / 1000.0 if latencies else 0.0
+    if summary and mean_us > 0:
+        staged = sum(summary.values())
+        lines.append(
+            f"{'sum':10s} {staged:7.2f}  {staged / mean_us:6.1%} of {mean_us:.2f} us "
+            f"mean request latency"
+        )
+    if incomplete:
+        lines.append(f"(+{int(incomplete)} request(s) never reached complete)")
+    return "\n".join(lines)
+
+
+def to_stage_trace(roots: Iterable[SpanNode]) -> dict:
+    """The stage spans as a Chrome trace-event object (JSON-ready).
+
+    Complete ("X") events, one per span, timestamps in microseconds.
+    Each *stage* renders as its own named track (``tid`` = canonical
+    stage index): Perfetto then shows six readable lanes with every
+    request's visit to a layer on that layer's lane, instead of one
+    unreadable track per request.  The owning request stays in
+    ``args.request_id``.
+
+    QoS-tagged requests additionally split into per-tenant lanes —
+    ``"fabric [tenant-a]"`` — with stable tids assigned by sorted tenant
+    name, and carry ``args.tenant``, so a multi-tenant run's
+    interference pattern is visible per tenant rather than collapsed
+    into one anonymous lane.
+    """
+    roots = list(roots)
+    request_tenants = stage_tenants(roots)
+    # Deterministic tenant lane blocks after the base stages; tid
+    # len(STAGES) stays unused, so tids match earlier exports.
+    tenants = sorted(set(request_tenants.values()))
+    tenant_base = {
+        tenant: len(STAGES) + 1 + i * len(STAGES) for i, tenant in enumerate(tenants)
+    }
+    events = []
+    for rid, span in stage_spans(roots):
+        tenant = request_tenants.get(rid, "")
+        stage_idx = _STAGE_INDEX[span.name]
+        tid = tenant_base[tenant] + stage_idx if tenant else stage_idx
+        event = {
+            "name": span.name,
+            "cat": "io",
+            "ph": "X",
+            "ts": span.start_ns / 1000.0,
+            "dur": span.duration_ns / 1000.0,
+            "pid": 0,
+            "tid": tid,
+            "args": {"request_id": rid, "start_ns": span.start_ns, "end_ns": span.end_ns},
+        }
+        if tenant:
+            event["args"]["tenant"] = tenant
+        events.append(event)
+    meta = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": 0,
+            "tid": 0,
+            "args": {"name": "repro I/O lifecycle"},
+        }
+    ]
+    used_tids = {e["tid"] for e in events}
+    lane_names = dict(_STAGE_INDEX)
+    for tenant in tenants:
+        for stage, idx in _STAGE_INDEX.items():
+            lane_names[f"{stage} [{tenant}]"] = tenant_base[tenant] + idx
+    for lane, tid in lane_names.items():
+        if tid in used_tids:
+            meta.append(
+                {
+                    "name": "thread_name",
+                    "ph": "M",
+                    "pid": 0,
+                    "tid": tid,
+                    "args": {"name": lane},
+                }
+            )
+    return {"traceEvents": events + meta, "displayTimeUnit": "ns"}
+
+
+def export_stage_trace(roots: Iterable[SpanNode], path) -> Path:
+    """Write the stage Chrome trace-event JSON; returns the path written."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(to_stage_trace(roots), indent=1))
+    return path
+
+
+def export_stage_csv(roots: Iterable[SpanNode], path) -> Path:
+    """Write the flat stage-span table: one row per closed stage span."""
+    roots = list(roots)
+    tenants = stage_tenants(roots)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["request_id", "tenant", "stage", "start_ns", "end_ns", "duration_ns"])
+        for rid, span in stage_spans(roots):
+            writer.writerow([
+                rid, tenants.get(rid, ""), span.name,
+                span.start_ns, span.end_ns, span.duration_ns,
+            ])
     return path

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .context import SpanNode
+from .context import NULL_SPAN, SpanNode
 from .critical_path import analyze, verify_exact
 from .slowop import SlowOpRecord
 
@@ -153,13 +153,15 @@ class FlightRecorder:
         self.dumps: list[SlowOpDump] = []
         self.retained = 0
         self.promoted = 0
-        #: Flagged ops whose tree was unavailable (no causal tracer, or
+        #: Flagged ops whose tree was unavailable (untraced stack, or
         #: already evicted) — counted, never silently dropped.
         self.missed = 0
 
     def retain(self, root: Optional[SpanNode]) -> None:
-        """Remember one completed tree (cheap: reference only)."""
-        if root is None:
+        """Remember one completed tree (cheap: reference only).
+
+        An untraced op's :data:`NULL_SPAN` (or ``None``) is no tree."""
+        if root is None or root is NULL_SPAN:
             return
         self.ring.append(root)
         self.retained += 1

@@ -38,6 +38,7 @@ from typing import Optional
 
 from ..sim import NULL_METRICS
 from ..units import ms
+from .context import NULL_SPAN
 from .digest import StreamingDigest
 from .flight import FlightRecorder, SlowOpDump
 from .slowop import SlowOpConfig, SlowOpDetector
@@ -314,7 +315,7 @@ class HealthLayer:
     # -- completion-path hooks (no events, plain bookkeeping) ----------------------
 
     def observe_client(
-        self, op_class: str, tenant: str, latency_ns: int, ok: bool, root=None
+        self, op_class: str, tenant: str, latency_ns: int, ok: bool, root=NULL_SPAN
     ) -> None:
         """One client-visible completion (called by the API engine)."""
         now = self.env.now

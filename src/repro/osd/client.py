@@ -22,6 +22,7 @@ from typing import Generator, Optional
 from ..crush import CRUSH_ITEM_NONE, PlacementEngine
 from ..ec import ReedSolomon
 from ..errors import OsdOpError, StorageError
+from ..obs.context import NULL_SPAN
 from ..sim import NULL_METRICS, Environment
 from ..status import BlkStatus
 from .fabric import Fabric, Messenger, traced_call
@@ -201,7 +202,7 @@ class RadosClient(Messenger):
         offset: int = 0,
         direct: bool = False,
         sequential: bool = False,
-        ctx=None,
+        ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: durable write of ``data`` to all replicas.
@@ -212,7 +213,7 @@ class RadosClient(Messenger):
         placement; already-acked replicas are not re-sent, and re-sent
         ops keep their id so OSDs replay them idempotently.
 
-        ``ctx`` is an optional causal span; each (attempt, target) pair
+        ``ctx`` is the op's causal span; each (attempt, target) pair
         becomes one ``rpc`` child, backoffs become ``wait`` children.
         """
         if pool.pool_type != PoolType.REPLICATED:
@@ -229,7 +230,7 @@ class RadosClient(Messenger):
                 self._note_retry()
                 t0 = self.env.now
                 yield from self._backoff(attempt - 1)
-                if ctx is not None and self.env.now > t0:
+                if self.env.now > t0:
                     ctx.record("backoff", "wait", t0, self.env.now, attempt=attempt)
             acting = [o for o in self.compute_placement(pool, object_name) if o != CRUSH_ITEM_NONE]
             if not acting:
@@ -263,11 +264,7 @@ class RadosClient(Messenger):
                         ops[target] = op
                     else:
                         op.epoch = self.osdmap.epoch
-                    leg = (
-                        ctx.child(f"osd.{target}", "rpc", attempt=attempt)
-                        if ctx is not None
-                        else None
-                    )
+                    leg = ctx.child(f"osd.{target}", "rpc", attempt=attempt)
                     procs[target] = self.env.process(
                         traced_call(self, f"osd.{target}", op, policy.timeout_ns, leg), name="wr"
                     )
@@ -300,11 +297,7 @@ class RadosClient(Messenger):
                 else:
                     primary_op.acting = tuple(acting)
                     primary_op.epoch = self.osdmap.epoch
-                leg = (
-                    ctx.child(f"osd.{primary}", "rpc", attempt=attempt)
-                    if ctx is not None
-                    else None
-                )
+                leg = ctx.child(f"osd.{primary}", "rpc", attempt=attempt)
                 reply = yield from traced_call(
                     self, f"osd.{primary}", primary_op, policy.timeout_ns, leg
                 )
@@ -316,7 +309,7 @@ class RadosClient(Messenger):
         raise self._exhausted("write", object_name, policy.max_attempts, last)
 
     def read_replicated(
-        self, pool: Pool, object_name: str, offset: int, length: int, ctx=None,
+        self, pool: Pool, object_name: str, offset: int, length: int, ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: read, failing over primary -> secondaries; returns bytes.
@@ -337,7 +330,7 @@ class RadosClient(Messenger):
                 self._note_retry()
                 t0 = self.env.now
                 yield from self._backoff(attempt - 1)
-                if ctx is not None and self.env.now > t0:
+                if self.env.now > t0:
                     ctx.record("backoff", "wait", t0, self.env.now, attempt=attempt)
             acting = [o for o in self.compute_placement(pool, object_name) if o != CRUSH_ITEM_NONE]
             if not acting:
@@ -351,11 +344,7 @@ class RadosClient(Messenger):
                     epoch=self.osdmap.epoch,
                     qos=qos.derive() if qos is not None else None,
                 )
-                leg = (
-                    ctx.child(f"osd.{target}", "rpc", attempt=attempt, failover=idx)
-                    if ctx is not None
-                    else None
-                )
+                leg = ctx.child(f"osd.{target}", "rpc", attempt=attempt, failover=idx)
                 reply = yield from traced_call(self, f"osd.{target}", op, policy.timeout_ns, leg)
                 if reply.ok:
                     if idx > 0:
@@ -379,7 +368,7 @@ class RadosClient(Messenger):
         direct: bool = False,
         sequential: bool = False,
         shards: Optional[list[bytes]] = None,
-        ctx=None,
+        ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: EC write of a whole object.
@@ -408,7 +397,7 @@ class RadosClient(Messenger):
                 self._note_retry()
                 t0 = self.env.now
                 yield from self._backoff(attempt - 1)
-                if ctx is not None and self.env.now > t0:
+                if self.env.now > t0:
                     ctx.record("backoff", "wait", t0, self.env.now, attempt=attempt)
             acting = self.compute_placement(pool, object_name)
             targets = [(rank, osd) for rank, osd in enumerate(acting) if osd != CRUSH_ITEM_NONE]
@@ -447,11 +436,7 @@ class RadosClient(Messenger):
                         shard_ops[key] = op
                     else:
                         op.epoch = self.osdmap.epoch
-                    leg = (
-                        ctx.child(f"osd.{target}", "rpc", attempt=attempt, shard=rank)
-                        if ctx is not None
-                        else None
-                    )
+                    leg = ctx.child(f"osd.{target}", "rpc", attempt=attempt, shard=rank)
                     procs[key] = self.env.process(
                         traced_call(self, f"osd.{target}", op, policy.timeout_ns, leg),
                         name="shard",
@@ -487,11 +472,7 @@ class RadosClient(Messenger):
                 else:
                     primary_op.acting = tuple(osd for _, osd in targets)
                     primary_op.epoch = self.osdmap.epoch
-                leg = (
-                    ctx.child(f"osd.{primary}", "rpc", attempt=attempt)
-                    if ctx is not None
-                    else None
-                )
+                leg = ctx.child(f"osd.{primary}", "rpc", attempt=attempt)
                 reply = yield from traced_call(
                     self, f"osd.{primary}", primary_op, policy.timeout_ns, leg
                 )
@@ -503,7 +484,7 @@ class RadosClient(Messenger):
         raise self._exhausted("ec write", object_name, policy.max_attempts, last)
 
     def read_ec(
-        self, pool: Pool, object_name: str, length: int, direct: bool = False, ctx=None,
+        self, pool: Pool, object_name: str, length: int, direct: bool = False, ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: EC read of a whole object of known ``length``.
@@ -522,7 +503,7 @@ class RadosClient(Messenger):
                 self._note_retry()
                 t0 = self.env.now
                 yield from self._backoff(attempt - 1)
-                if ctx is not None and self.env.now > t0:
+                if self.env.now > t0:
                     ctx.record("backoff", "wait", t0, self.env.now, attempt=attempt)
             acting = self.compute_placement(pool, object_name)
             targets = [(rank, osd) for rank, osd in enumerate(acting) if osd != CRUSH_ITEM_NONE]
@@ -531,21 +512,17 @@ class RadosClient(Messenger):
             if direct:
                 codec = self._codec(pool)
                 shard_len = codec.shard_size(length)
-                gather = (
-                    ctx.child("gather", "fanout", attempt=attempt) if ctx is not None else None
-                )
+                gather = ctx.child("gather", "fanout", attempt=attempt)
                 try:
                     shards, degraded = yield from gather_shards(
                         self, pool, object_name, targets, shard_len, self.osdmap.epoch,
                         timeout_ns=policy.timeout_ns, ctx=gather, qos=qos,
                     )
                 except StorageError as exc:
-                    if gather is not None:
-                        gather.finish(ok=False)
+                    gather.finish(ok=False)
                     last = exc
                     continue
-                if gather is not None:
-                    gather.finish(degraded=degraded)
+                gather.finish(degraded=degraded)
                 if degraded:
                     self._note_degraded()
                 self.ops_completed += 1
@@ -561,9 +538,7 @@ class RadosClient(Messenger):
                 epoch=self.osdmap.epoch,
                 qos=qos.derive() if qos is not None else None,
             )
-            leg = (
-                ctx.child(f"osd.{primary}", "rpc", attempt=attempt) if ctx is not None else None
-            )
+            leg = ctx.child(f"osd.{primary}", "rpc", attempt=attempt)
             reply = yield from traced_call(self, f"osd.{primary}", op, policy.timeout_ns, leg)
             if reply.ok:
                 self.ops_completed += 1
@@ -575,7 +550,7 @@ class RadosClient(Messenger):
 
 def gather_shards(
     messenger, pool, object_name, targets, shard_len, epoch, preloaded=None, timeout_ns=None,
-    ctx=None, qos=None,
+    ctx=NULL_SPAN, qos=None,
 ):
     """Process: collect >= k shards; returns ``(shards, degraded)``.
 
@@ -612,7 +587,7 @@ def gather_shards(
                 epoch=epoch,
                 qos=qos.derive() if qos is not None else None,
             )
-            leg = ctx.child(f"osd.{target}", "rpc", shard=rank) if ctx is not None else None
+            leg = ctx.child(f"osd.{target}", "rpc", shard=rank)
             procs[rank] = env.process(
                 traced_call(messenger, f"osd.{target}", op, timeout_ns, leg), name="shard"
             )

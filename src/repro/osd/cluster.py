@@ -182,7 +182,7 @@ class CephCluster:
 
     # -- self-healing --------------------------------------------------------------
 
-    def enable_recovery(self, config=None, tracer=None):
+    def enable_recovery(self, config=None):
         """Turn on the online self-healing subsystem (PG state machine,
         peering, background recovery agents — see ``repro.osd.recovery``).
 
@@ -198,9 +198,7 @@ class CephCluster:
             # scheduler's ``recovery`` service class, not ad-hoc backoff.
             self.enable_qos()
         if self.recovery is None:
-            self.recovery = RecoveryManager(
-                self.env, self, config, metrics=self.metrics, tracer=tracer
-            )
+            self.recovery = RecoveryManager(self.env, self, config, metrics=self.metrics)
             if self.qos is not None:
                 for agent in self.recovery._agents.values():
                     self.qos.attach_messenger(agent.messenger)

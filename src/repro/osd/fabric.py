@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import NetworkError, ProcessKilled
+from ..obs.context import NULL_SPAN
 from ..sim import Environment, Event, Store
 from ..status import BlkStatus
 from ..units import transfer_ns, us
@@ -382,21 +383,20 @@ class Messenger:
 
 
 def traced_call(
-    messenger: Messenger, dst: str, op: OsdOp, timeout_ns: Optional[int] = None, span=None
+    messenger: Messenger, dst: str, op: OsdOp, timeout_ns: Optional[int] = None,
+    span=NULL_SPAN,
 ) -> Generator:
-    """Process: :meth:`Messenger.call` with an optional causal leg span.
+    """Process: :meth:`Messenger.call` under a causal leg span.
 
     Stamps ``op.obs_span`` so the serving OSD can attach its
     queue/service sub-spans to the same leg, and closes ``span`` when
-    the reply (including the synthetic timeout reply) lands.  With
-    ``span=None`` this is byte-for-byte ``messenger.call``: same events,
-    same return value.
+    the reply (including the synthetic timeout reply) lands.  Span
+    bookkeeping creates no events: the call is byte-for-byte
+    ``messenger.call``, traced or not.
     """
-    if span is not None:
-        op.obs_span = span
+    op.obs_span = span
     reply = yield from messenger.call(dst, op, timeout_ns=timeout_ns)
-    if span is not None:
-        if not reply.ok:
-            span.annotate(status=reply.status.name)
-        span.finish(ok=reply.ok)
+    if not reply.ok:
+        span.annotate(status=reply.status.name)
+    span.finish(ok=reply.ok)
     return reply

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from ..obs.context import NULL_SPAN
 from ..status import BlkStatus
 from .qos import QosTag
 
@@ -60,13 +61,16 @@ class OsdOp:
     #: Causal span of the attempt leg carrying this op (repro.obs);
     #: travels with the message so the serving OSD can attach its
     #: queue/service sub-spans.  Never serialized or compared.
-    obs_span: Optional[object] = field(default=None, repr=False, compare=False)
+    obs_span: object = field(default=NULL_SPAN, repr=False, compare=False)
     #: QoS identity (tenant + service class + dmClock rho/delta).  Inert
     #: until a cluster enables QoS; excluded from repr/compare so the
     #: tag never leaks into digests.  Not counted in wire_size (a few
     #: piggybacked bytes, dmClock-style).
     qos: Optional[QosTag] = field(default=None, repr=False, compare=False)
     op_id: int = field(default_factory=lambda: next(_op_ids))
+    #: The serving OSD's service span under ``obs_span`` (not a field:
+    #: the daemon sets it, its op handlers read it).
+    obs_service = NULL_SPAN
 
     def wire_size(self) -> int:
         """Bytes this op occupies on the network."""

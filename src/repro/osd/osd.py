@@ -19,7 +19,7 @@ from typing import Callable, Generator, Optional
 
 from ..ec import ReedSolomon
 from ..errors import StorageError
-from ..obs.context import wrap_span
+from ..obs.context import NULL_SPAN, wrap_span
 from ..sim import NULL_METRICS, Environment, Resource
 from ..units import us
 from .fabric import Fabric, Messenger, traced_call
@@ -229,7 +229,7 @@ class OsdDaemon(Messenger):
         data: bytes,
         sequential: bool,
         version: int = 0,
-        span=None,
+        span=NULL_SPAN,
         whole: bool = False,
     ) -> Generator:
         if self.wal is not None:
@@ -270,7 +270,7 @@ class OsdDaemon(Messenger):
     def on_request(self, op: OsdOp, src: str) -> Generator:
         """Dispatch one op under the worker pool."""
         t0 = self.env.now
-        leg = getattr(op, "obs_span", None)
+        leg = op.obs_span
         cached = self._reply_cache.get(op.op_id)
         if cached is not None:
             # Idempotent replay (client retry or duplicated message):
@@ -278,8 +278,7 @@ class OsdDaemon(Messenger):
             self.replays_absorbed += 1
             self._m_replays.add()
             yield self.env.timeout(self.config.op_cost_ns)
-            if leg is not None:
-                leg.record("osd.replay", "service", t0, self.env.now, osd=self.osd_id)
+            leg.record("osd.replay", "service", t0, self.env.now, osd=self.osd_id)
             yield from self.reply_to(src, cached)
             return
         if self.recovery_ledger is not None and op.kind in _GATED_KINDS:
@@ -292,7 +291,7 @@ class OsdDaemon(Messenger):
                 while (gate := self.recovery_ledger.write_gate(self.osd_id, op.pool_id, key)) is not None:
                     waited = True
                     yield gate
-            if waited and leg is not None:
+            if waited:
                 leg.record("osd.recovery-gate", "queue", t0, self.env.now, osd=self.osd_id)
         qos_phase = 0
         express = (
@@ -317,17 +316,14 @@ class OsdDaemon(Messenger):
             req = self.cpu.request()
             yield req
             pool = self.cpu
-        svc = None
-        if leg is not None:
-            # Worker-pool wait vs. actual service, split explicitly so
-            # the critical path can tell saturation from slow handlers.
-            meta = {"osd": self.osd_id}
-            if op.qos is not None:
-                meta["tenant"] = op.qos.tenant
-                meta["qos_class"] = op.qos.svc
-            leg.record("osd.queue", "queue", t0, self.env.now, **meta)
-            svc = leg.child("osd.service", "service", **meta)
-            op._obs_service = svc
+        # Worker-pool wait vs. actual service, split explicitly so the
+        # critical path can tell saturation from slow handlers.
+        meta = {"osd": self.osd_id}
+        if op.qos is not None:
+            meta["tenant"] = op.qos.tenant
+            meta["qos_class"] = op.qos.svc
+        leg.record("osd.queue", "queue", t0, self.env.now, **meta)
+        svc = op.obs_service = leg.child("osd.service", "service", **meta)
         try:
             yield self.env.timeout(self.config.op_cost_ns)
             handler = {
@@ -373,8 +369,7 @@ class OsdDaemon(Messenger):
                 self.env.now - t0,
                 reply.ok,
             )
-        if svc is not None:
-            svc.finish(ok=reply.ok)
+        svc.finish(ok=reply.ok)
         yield from self.reply_to(src, reply)
 
     def _do_read(self, op: OsdOp) -> Generator:
@@ -394,7 +389,7 @@ class OsdDaemon(Messenger):
             op.data,
             op.sequential,
             version=op.version or op.op_id,
-            span=getattr(op, "_obs_service", None),
+            span=op.obs_service,
         )
         self.versions[op.object_name] = op.version or op.op_id
         return OsdReply(op.op_id, True)
@@ -404,7 +399,7 @@ class OsdDaemon(Messenger):
         if op.data is None:
             raise StorageError(f"write op {op.op_id} carries no data")
         yield self.env.timeout(self.config.rep_fanout_cost_ns)
-        svc = getattr(op, "_obs_service", None)
+        svc = op.obs_service
         replicas = [o for o in op.acting if o != self.osd_id]
         sub_ops = []
         for peer in replicas:
@@ -420,7 +415,7 @@ class OsdDaemon(Messenger):
                 version=op.op_id,
                 qos=op.qos.derive() if op.qos is not None else None,
             )
-            sub_span = svc.child(f"osd.{peer}", "rpc") if svc is not None else None
+            sub_span = svc.child(f"osd.{peer}", "rpc")
             sub_ops.append(
                 self.env.process(
                     traced_call(
@@ -429,7 +424,7 @@ class OsdDaemon(Messenger):
                     name="rep",
                 )
             )
-        local_span = svc.child("local-apply", "service") if svc is not None else None
+        local_span = svc.child("local-apply", "service")
         local = self.env.process(
             wrap_span(
                 local_span,
@@ -457,7 +452,7 @@ class OsdDaemon(Messenger):
             op.data,
             op.sequential,
             version=op.version or op.op_id,
-            span=getattr(op, "_obs_service", None),
+            span=op.obs_service,
         )
         self.versions[name] = op.version or op.op_id
         return OsdReply(op.op_id, True)
@@ -477,11 +472,10 @@ class OsdDaemon(Messenger):
             raise StorageError(f"ec write {op.op_id} carries no data")
         pool = self.osdmap.pool(op.pool_id)
         codec = self.codec_for(op.pool_id)
-        svc = getattr(op, "_obs_service", None)
+        svc = op.obs_service
         t_enc = self.env.now
         yield self.env.timeout(self.config.ec_encode_ns(pool.k, pool.m, len(op.data)))
-        if svc is not None:
-            svc.record("ec-encode", "compute", t_enc, self.env.now, k=pool.k, m=pool.m)
+        svc.record("ec-encode", "compute", t_enc, self.env.now, k=pool.k, m=pool.m)
         shards = codec.encode(op.data)
         procs = []
         local_shard = None
@@ -502,9 +496,7 @@ class OsdDaemon(Messenger):
                 version=op.op_id,
                 qos=op.qos.derive() if op.qos is not None else None,
             )
-            sub_span = (
-                svc.child(f"osd.{target}", "rpc", shard=rank) if svc is not None else None
-            )
+            sub_span = svc.child(f"osd.{target}", "rpc", shard=rank)
             procs.append(
                 self.env.process(
                     traced_call(
@@ -515,11 +507,7 @@ class OsdDaemon(Messenger):
             )
         if local_shard is not None:
             name = shard_object_name(op.object_name, local_shard)
-            local_span = (
-                svc.child("local-shard", "service", shard=local_shard)
-                if svc is not None
-                else None
-            )
+            local_span = svc.child("local-shard", "service", shard=local_shard)
             procs.append(
                 self.env.process(
                     wrap_span(
@@ -556,7 +544,7 @@ class OsdDaemon(Messenger):
                     preloaded[rank] = yield from self._apply_read(key, 0, shard_len)
             else:
                 remote_targets.append((rank, target))
-        svc = getattr(op, "_obs_service", None)
+        svc = op.obs_service
         try:
             shards, _degraded = yield from gather_shards(
                 self, pool, op.object_name, remote_targets, shard_len, op.epoch, preloaded,
@@ -566,8 +554,7 @@ class OsdDaemon(Messenger):
             return OsdReply(op.op_id, False, error=str(exc))
         t_dec = self.env.now
         yield self.env.timeout(self.config.ec_decode_ns(pool.k, pool.m, op.length))
-        if svc is not None:
-            svc.record("ec-decode", "compute", t_dec, self.env.now, k=pool.k, m=pool.m)
+        svc.record("ec-decode", "compute", t_dec, self.env.now, k=pool.k, m=pool.m)
         data = codec.decode(shards, op.length)
         return OsdReply(op.op_id, True, data=data)
 

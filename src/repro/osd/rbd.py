@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..errors import StorageError
-from ..obs.context import wrap_span
+from ..obs.context import NULL_SPAN, wrap_span
 from ..units import mib
 from .client import RadosClient
 from .osdmap import Pool, PoolType
@@ -82,12 +82,12 @@ class RBDImage:
         return out
 
     def write(
-        self, offset: int, data: bytes, sequential: bool = False, ctx=None,
+        self, offset: int, data: bytes, sequential: bool = False, ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
         """Process: write ``data`` at ``offset`` (parallel across objects).
 
-        ``ctx`` is an optional causal span: multi-object writes open one
+        ``ctx`` is the op's causal span: multi-object writes open one
         ``fanout`` child per extent so the straggler object is visible.
         ``tenant`` is the QoS identity stamped on every RADOS op.
         """
@@ -114,8 +114,8 @@ class RBDImage:
             payload = data[pos : pos + chunk]
             pos += chunk
             name = self.object_name(idx)
-            leg = ctx.child(f"obj{idx}", "fanout", object=idx) if ctx is not None and multi else None
-            sub_ctx = leg if leg is not None else ctx
+            leg = ctx.child(f"obj{idx}", "fanout", object=idx) if multi else NULL_SPAN
+            sub_ctx = leg if multi else ctx
             if is_ec:
                 if obj_off != 0:
                     # EC model: writes must start at an object boundary
@@ -148,7 +148,7 @@ class RBDImage:
                 procs.append(self.client.env.process(wrap_span(leg, gen), name="rbd-wr"))
         yield self.client.env.all_of(procs)
 
-    def read(self, offset: int, length: int, ctx=None, tenant: str = "") -> Generator:
+    def read(self, offset: int, length: int, ctx=NULL_SPAN, tenant: str = "") -> Generator:
         """Process: read ``length`` bytes at ``offset``; returns bytes."""
         extents = self._object_extents(offset, length)
         multi = len(extents) > 1
@@ -156,8 +156,8 @@ class RBDImage:
         procs = []
         for idx, obj_off, chunk in extents:
             name = self.object_name(idx)
-            leg = ctx.child(f"obj{idx}", "fanout", object=idx) if ctx is not None and multi else None
-            sub_ctx = leg if leg is not None else ctx
+            leg = ctx.child(f"obj{idx}", "fanout", object=idx) if multi else NULL_SPAN
+            sub_ctx = leg if multi else ctx
             if self.pool.pool_type == PoolType.ERASURE:
                 if obj_off != 0:
                     raise StorageError(

@@ -44,7 +44,7 @@ from ..crush import CRUSH_ITEM_NONE, PlacementEngine
 from ..crush.placement import object_to_pg
 from ..net.stack import KERNEL_TCP
 from ..sim import NULL_METRICS, Environment, Event, Resource
-from .fabric import Messenger, traced_call
+from .fabric import Messenger
 from .ops import OpKind, OsdOp
 from .osd import base_object_name, shard_object_name
 from .osdmap import PoolType
@@ -129,13 +129,12 @@ class RecoveryManager:
     """
 
     def __init__(self, env: Environment, cluster, config: Optional[RecoveryConfig] = None,
-                 metrics=None, tracer=None):
+                 metrics=None):
         self.env = env
         self.cluster = cluster
         self.osdmap = cluster.osdmap
         self.daemons = cluster.daemons
         self.config = config or RecoveryConfig()
-        self.tracer = tracer
         self.placement = PlacementEngine(self.osdmap.crush)
         metrics = metrics or NULL_METRICS
         self._metrics = metrics
@@ -373,14 +372,13 @@ class _Agent:
             if start > now:
                 yield self.env.timeout(start - now)
 
-    def _call(self, osd_id: int, op: OsdOp, span) -> Generator:
+    def _call(self, osd_id: int, op: OsdOp) -> Generator:
         if self.messenger.qos_tracker is not None and op.qos is None:
             # Recovery traffic is shaped by the scheduler's ``recovery``
             # service class, not ad-hoc backoff against queue depth.
             op.qos = QosTag(svc=CLASS_RECOVERY)
-        leg = span.child(f"osd.{osd_id}", "rpc", op=op.kind.value) if span is not None else None
-        reply = yield from traced_call(
-            self.messenger, f"osd.{osd_id}", op, self.manager.config.op_timeout_ns, leg
+        reply = yield from self.messenger.call(
+            f"osd.{osd_id}", op, timeout_ns=self.manager.config.op_timeout_ns
         )
         self.manager._m_ops.add()
         return reply
@@ -390,28 +388,20 @@ class _Agent:
     def _recover_pg(self, job: _Job) -> Generator:
         mgr = self.manager
         info = job.info
-        root = None
-        if mgr.tracer is not None:
-            root = mgr.tracer.start_root(
-                f"recovery.pg.{info.pool_id}.{info.pg_id}", "recovery",
-                pool=info.pool_id, pg=info.pg_id, primary=self.osd_id,
-            )
         t0 = self.env.now
         try:
-            recovered = yield from self._peer_and_recover(job, root)
+            recovered = yield from self._peer_and_recover(job)
             if recovered:
                 mgr.pgs_recovered += 1
                 mgr._m_pgs_recovered.add()
                 mgr._m_pg_time.record(self.env.now - t0)
         finally:
-            if root is not None:
-                root.finish(state=info.state.value)
             mgr._job_done(info)
 
     def _superseded(self, job: _Job) -> bool:
         return job.info.serial != job.serial
 
-    def _peer_and_recover(self, job: _Job, root) -> Generator:
+    def _peer_and_recover(self, job: _Job) -> Generator:
         """Census the PG, backfill every missing copy, trim strays.
         Returns True when the PG ended clean after moving data."""
         mgr = self.manager
@@ -429,7 +419,6 @@ class _Agent:
         else:
             recipients = sorted(up)  # bootstrap: anyone may hold strays
         listings: dict[int, dict[str, tuple[int, int]]] = {}
-        span = root.child("peering", "fanout") if root is not None else None
         for osd_id in recipients:
             if osd_id == CRUSH_ITEM_NONE or self._superseded(job):
                 break
@@ -437,12 +426,10 @@ class _Agent:
                 OpKind.PG_LIST, info.pool_id, f"pg{info.pg_id}",
                 pg=info.pg_id, epoch=mgr.osdmap.epoch,
             )
-            reply = yield from self._call(osd_id, op, span)
+            reply = yield from self._call(osd_id, op)
             if reply.ok and reply.listing is not None:
                 listings[osd_id] = reply.listing
                 info.known_members.add(osd_id)
-        if span is not None:
-            span.finish(recipients=len(recipients))
         if self._superseded(job):
             return False
         info.scanned = True
@@ -533,29 +520,26 @@ class _Agent:
             else:
                 mgr._set_state(info, PGState.ACTIVE)
             mgr._notify(info)
-            yield from self._trim(job, pool, listings, census, root)
+            yield from self._trim(job, pool, listings, census)
             return False
 
         # --- backfill: bounded-parallel object moves ---
         mgr._set_state(info, PGState.BACKFILLING)
         mgr._notify(info)  # peering over: un-gate clean keys
         moved = 0
-        span = root.child("backfill", "fanout", objects=len(work)) if root is not None else None
         procs = []
         for item in work:
             if item[0] == "copy":
                 _, key, ver, size, sources, targets = item
-                gen = self._copy_one(job, pool, key, ver, size, sources, targets, span)
+                gen = self._copy_one(job, pool, key, ver, size, sources, targets)
             else:
                 _, base, ver, at_auth, rebuild = item
-                gen = self._rebuild_one(job, pool, base, ver, at_auth, rebuild, span)
+                gen = self._rebuild_one(job, pool, base, ver, at_auth, rebuild)
             procs.append(self.env.process(self._windowed(gen), name=f"recov.{self.osd_id}"))
         results = yield self.env.all_of(procs)
         for proc in procs:
             if results[proc]:
                 moved += 1
-        if span is not None:
-            span.finish(moved=moved)
         if self._superseded(job):
             return False
 
@@ -570,7 +554,7 @@ class _Agent:
             mgr._set_state(info, PGState.ACTIVE)
         mgr._notify(info)
         if not leftover and not incomplete:
-            yield from self._trim(job, pool, listings, census, root)
+            yield from self._trim(job, pool, listings, census)
         return info.state is PGState.RECOVERED
 
     def _windowed(self, gen) -> Generator:
@@ -591,7 +575,7 @@ class _Agent:
                 del info.missing[osd_id]
         self.manager._notify(info)
 
-    def _copy_one(self, job, pool, key, ver, size, sources, targets, span) -> Generator:
+    def _copy_one(self, job, pool, key, ver, size, sources, targets) -> Generator:
         """Pull one store key from a surviving holder, push it to every
         member missing it (version-guarded)."""
         mgr = self.manager
@@ -602,7 +586,7 @@ class _Agent:
         pulled_ver = ver
         for src in sources:
             op = OsdOp(OpKind.PULL, pool.pool_id, key, 0, size, epoch=mgr.osdmap.epoch)
-            reply = yield from self._call(src, op, span)
+            reply = yield from self._call(src, op)
             if reply.ok:
                 data = reply.data
                 pulled_ver = reply.version
@@ -621,7 +605,7 @@ class _Agent:
                 OpKind.PUSH, pool.pool_id, key, 0, len(data),
                 data=data, version=pulled_ver, epoch=mgr.osdmap.epoch,
             )
-            reply = yield from self._call(target, op, span)
+            reply = yield from self._call(target, op)
             if reply.ok:
                 if reply.stale:
                     mgr._m_stale.add()
@@ -632,7 +616,7 @@ class _Agent:
             mgr._m_objects.add()
         return pushed
 
-    def _rebuild_one(self, job, pool, base, ver, at_auth, rebuild, span) -> Generator:
+    def _rebuild_one(self, job, pool, base, ver, at_auth, rebuild) -> Generator:
         """EC reconstruction: pull k surviving shards, rebuild the lost
         ranks on the agent's CPU, push them to their acting members."""
         mgr = self.manager
@@ -648,7 +632,7 @@ class _Agent:
             yield from self._throttle(size)
             for src in sorted(holders):
                 op = OsdOp(OpKind.PULL, pool.pool_id, key, 0, size, epoch=mgr.osdmap.epoch)
-                reply = yield from self._call(src, op, span)
+                reply = yield from self._call(src, op)
                 if reply.ok:
                     got[rank] = reply.data
                     mgr._m_bytes_pulled.add(len(reply.data))
@@ -659,12 +643,9 @@ class _Agent:
             return False
         slots: list[Optional[bytes]] = [got.get(r) for r in range(pool.size)]
         shard_len = max(len(s) for s in got.values())
-        t_dec = self.env.now
         yield self.env.timeout(
             self.daemon.config.ec_decode_ns(pool.k, pool.m, shard_len * pool.k)
         )
-        if span is not None:
-            span.record("ec-reconstruct", "compute", t_dec, self.env.now, object=base)
         pushed = False
         for rank, target in rebuild:
             if self._superseded(job):
@@ -678,7 +659,7 @@ class _Agent:
                 OpKind.PUSH, pool.pool_id, key, 0, len(shard),
                 data=shard, version=ver, epoch=mgr.osdmap.epoch,
             )
-            reply = yield from self._call(target, op, span)
+            reply = yield from self._call(target, op)
             if reply.ok:
                 if reply.stale:
                     mgr._m_stale.add()
@@ -689,15 +670,13 @@ class _Agent:
             mgr._m_objects.add()
         return pushed
 
-    def _trim(self, job, pool, listings, census, root) -> Generator:
+    def _trim(self, job, pool, listings, census) -> Generator:
         """Delete stale copies from OSDs no longer responsible for them
         (prevents scrub flagging orphans after a remap)."""
         mgr = self.manager
         info = job.info
         replicated = pool.pool_type == PoolType.REPLICATED
         expected_rep = {o for o in info.acting if o != CRUSH_ITEM_NONE}
-        span = root.child("trim", "fanout") if root is not None else None
-        trimmed = 0
         for osd_id in sorted(listings):
             for key in sorted(listings[osd_id]):
                 if key in info.incomplete_keys:
@@ -716,16 +695,11 @@ class _Agent:
                 if not stray:
                     continue
                 if self._superseded(job):
-                    if span is not None:
-                        span.finish(trimmed=trimmed)
                     return
                 op = OsdOp(
                     OpKind.DELETE, pool.pool_id, key, version=-1,
                     epoch=mgr.osdmap.epoch,
                 )
-                reply = yield from self._call(osd_id, op, span)
+                reply = yield from self._call(osd_id, op)
                 if reply.ok:
-                    trimmed += 1
                     mgr._m_trims.add()
-        if span is not None:
-            span.finish(trimmed=trimmed)

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..errors import ProcessKilled
+from ..obs.context import NULL_SPAN
 from ..sim import NULL_METRICS, Environment
 from ..units import kib
 from .objects import ObjectStore
@@ -320,14 +321,13 @@ class WriteAheadLog:
         self._m_bytes.add(record.wire_size())
         self._event("append", record.seq)
 
-    def _barrier(self, span=None) -> Generator:
+    def _barrier(self, span=NULL_SPAN) -> Generator:
         """FLUSH/FUA: drain the volatile cache, then trim the log."""
         t0 = self.env.now
         yield from self.device.flush()
         self._trim()
         self._event("barrier", self._seq)
-        if span is not None:
-            span.record("wal.flush", "service", t0, self.env.now)
+        span.record("wal.flush", "service", t0, self.env.now)
 
     def _trim(self) -> None:
         """Drop the log prefix whose applies are flushed (checkpoint)."""
@@ -367,7 +367,7 @@ class WriteAheadLog:
         data: bytes,
         sequential: bool,
         version: int,
-        span=None,
+        span=NULL_SPAN,
         whole: bool = False,
     ) -> Generator:
         """Process: one transactional write; durable on return (ackable)."""
@@ -394,8 +394,7 @@ class WriteAheadLog:
         )
         self._journal_off += wire
         self._append(rec)
-        if span is not None:
-            span.record("wal.append", "service", t0, self.env.now, seq=rec.seq)
+        span.record("wal.append", "service", t0, self.env.now, seq=rec.seq)
         yield from self._barrier(span)
         self._spawn(self._apply_in_place(rec), name=f"wal:{self.owner.entity}:apply{rec.seq}")
 
@@ -428,8 +427,7 @@ class WriteAheadLog:
             _MediaEntry(self, extent, 0, data, None, None, extent=True)
         )
         self._event("stage", 0)
-        if span is not None:
-            span.record("wal.stage", "service", t0, self.env.now, extent=extent)
+        span.record("wal.stage", "service", t0, self.env.now, extent=extent)
         yield from self._barrier(span)
         t1 = self.env.now
         yield from self.device.write(JOURNAL_KEY, self._journal_off, RECORD_HEADER_BYTES, True)
@@ -441,8 +439,7 @@ class WriteAheadLog:
         )
         self._journal_off += RECORD_HEADER_BYTES
         self._append(rec)
-        if span is not None:
-            span.record("wal.append", "service", t1, self.env.now, seq=rec.seq)
+        span.record("wal.append", "service", t1, self.env.now, seq=rec.seq)
         yield from self._barrier(span)
         # Install is pure metadata: no further device write, just a
         # cache entry applying the remap at the next flush.

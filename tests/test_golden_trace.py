@@ -5,8 +5,9 @@ vectorized EC, event pooling) are only admissible if they change *no
 simulated event*.  These tests lock that down two ways:
 
 * recorded goldens — digests of the fig6 experiment table and a chaos
-  crash-replica run, captured on the unoptimized build and committed
-  under ``tests/golden/``; any divergence fails here; and
+  crash-replica run, captured on the unoptimized build, plus the
+  six-stage trace exports and span forests of seeded traced runs, all
+  committed under ``tests/golden/``; any divergence fails here; and
 * same-process double runs — the same scenario executed twice in one
   interpreter must produce identical digests (catches leaked state in
   caches, pools, and module-level counters).

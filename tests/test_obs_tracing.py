@@ -142,12 +142,59 @@ def test_span_tree_export_deterministic_across_runs(tmp_path):
 
 
 def test_flat_stream_unchanged_under_causal_tracer():
-    """The causal tracer is a drop-in Tracer: flat exports still work."""
+    """The six-stage stream is a pure projection of the trees: the
+    resource sampler and metrics registry running alongside leave it
+    unchanged."""
     fw, _ = _run("delibak", "randwrite", obs=True, seed=2)
-    flat = build_framework(FRAMEWORKS["delibak"], trace=True, seed=2)
+    bare = build_framework(FRAMEWORKS["delibak"], obs=True, seed=2)
     job = FioJob("obs-t", "randwrite", bs=kib(4), iodepth=2, nrequests=12)
-    proc = flat.env.process(flat.run_fio(job))
-    flat.env.run()
+    proc = bare.env.process(bare.run_fio(job))
+    bare.env.run()
     assert proc.ok
-    assert json.dumps(fw.tracer.to_chrome_trace()) == json.dumps(flat.tracer.to_chrome_trace())
-    assert fw.tracer.summary() == flat.tracer.summary()
+    assert json.dumps(fw.tracer.to_chrome_trace()) == json.dumps(bare.tracer.to_chrome_trace())
+    assert fw.tracer.summary() == bare.tracer.summary()
+    assert {e["name"] for e in fw.tracer.to_chrome_trace()["traceEvents"] if e["ph"] == "X"} == {
+        "rings", "dmq", "qdma", "accel", "fabric", "complete"
+    }
+
+
+def test_sync_engine_trees_cover_the_syscall():
+    """Blocking read/write stacks root each tree at the syscall, so the
+    root spans exactly the latency the engine measures."""
+    from repro.obs.profile import run_profile
+
+    report = run_profile("randwrite", framework="deliba2", nrequests=20)
+    assert report.latencies_match
+    assert report.by_stage.get("write", 0) > 0  # syscall entry: root self time
+
+
+def test_merged_bio_files_complete_under_its_request():
+    """A bio back-merged into a plugged request keeps its own tree: just
+    the ``complete`` stage, filed under the request it merged into."""
+    from collections import Counter
+    from dataclasses import replace
+
+    from repro.blk import BlkMqConfig
+    from repro.obs import stage_spans
+
+    config = replace(FRAMEWORKS["delibak"], blk=BlkMqConfig(), uring_instances=1)
+    fw = build_framework(config, seed=0, obs=True)
+    job = FioJob("merge", "write", bs=kib(4), iodepth=4, nrequests=24)
+    proc = fw.env.process(fw.run_fio(job))
+    fw.env.run()
+    assert proc.ok and fw.blk.merges > 0
+    roots = fw.tracer.complete_trees()
+    assert len(roots) == 24
+    heads = [r for r in roots if r.find("dmq")]
+    merged = [r for r in roots if not r.find("dmq")]
+    assert len(merged) == fw.blk.merges
+    assert sum(r.meta.get("merged_bios", 0) for r in heads) == fw.blk.merges
+    head_ids = {r.meta["req_id"] for r in heads}
+    for root in merged:
+        assert root.meta["req_id"] in head_ids
+        assert [c.name for c in root.children] == ["complete"]
+    stages = Counter((rid, span.name) for rid, span in stage_spans(fw.tracer.roots))
+    for head in heads:
+        rid = head.meta["req_id"]
+        assert stages[(rid, "rings")] == 1
+        assert stages[(rid, "complete")] == head.meta.get("merged_bios", 0) + 1

@@ -1,88 +1,81 @@
-"""Tests for the lifecycle tracer and the command-line interface."""
+"""Tests for the six-stage lifecycle view and the command-line interface."""
 
 import pytest
 
 from repro.cli import main
-from repro.deliba import DELIBAK, build_framework
+from repro.deliba import DELIBA2, DELIBAK, build_framework
 from repro.errors import ReproError
+from repro.obs import STAGES, CausalTracer
 from repro.sim import Environment
-from repro.trace import STAGES, Tracer
 from repro.units import kib
 from repro.workloads import FioJob
 
 
-# --- tracer unit tests --------------------------------------------------------
+def _request(tracer, rid):
+    """A root filed under block-layer request ``rid``."""
+    return tracer.start_root("write", req_id=rid)
+
+
+# --- stage view unit tests ----------------------------------------------------
 
 
 def test_tracer_begin_end_span():
     env = Environment()
-    tracer = Tracer(env)
-    tracer.begin(1, "fabric")
+    tracer = CausalTracer(env)
+    span = _request(tracer, 1).child("fabric", "net")
     env.run(until=500)
-    tracer.end(1, "fabric")
-    assert tracer.traces[1].stage_ns("fabric") == 500
+    span.finish()
+    assert tracer.summary()["fabric"] == pytest.approx(0.5)
 
 
 def test_tracer_record_retrospective():
-    tracer = Tracer(Environment())
-    tracer.record(7, "qdma", 100, 400)
-    assert tracer.traces[7].stage_ns("qdma") == 300
-
-
-def test_tracer_double_begin_rejected():
-    tracer = Tracer(Environment())
-    tracer.begin(1, "accel")
-    with pytest.raises(ReproError):
-        tracer.begin(1, "accel")
-
-
-def test_tracer_end_without_begin_rejected():
-    tracer = Tracer(Environment())
-    with pytest.raises(ReproError):
-        tracer.end(1, "accel")
+    tracer = CausalTracer(Environment())
+    _request(tracer, 7).record("qdma", "dma", 100, 400)
+    assert tracer.summary()["qdma"] == pytest.approx(0.3)
 
 
 def test_tracer_record_validation():
-    tracer = Tracer(Environment())
+    tracer = CausalTracer(Environment())
     with pytest.raises(ReproError):
-        tracer.record(1, "qdma", 400, 100)
-
-
-def test_tracer_context_manager():
-    env = Environment()
-    tracer = Tracer(env)
-    with tracer.stage(3, "rings"):
-        env.run(until=250)
-    assert tracer.traces[3].stage_ns("rings") == 250
+        _request(tracer, 1).record("qdma", "dma", 400, 100)
 
 
 def test_tracer_summary_and_total():
-    tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 60_000)
-    tracer.record(1, "qdma", 60_000, 62_000)
-    tracer.record(2, "fabric", 0, 40_000)
+    tracer = CausalTracer(Environment())
+    first = _request(tracer, 1)
+    first.record("fabric", "net", 0, 60_000)
+    first.record("qdma", "dma", 60_000, 62_000)
+    first.finish(end_ns=62_000)
+    second = _request(tracer, 2)
+    second.record("fabric", "net", 0, 40_000)
+    second.finish(end_ns=40_000)
     summary = tracer.summary()
     assert summary["fabric"] == pytest.approx(50.0)
     assert summary["qdma"] == pytest.approx(2.0)
-    assert tracer.traces[1].total_ns == 62_000
+    assert first.duration_ns == 62_000
+    # The sum row sets the stage means (50 + 2 us) against the mean
+    # latency of the completed requests (51 us).
+    assert tracer.breakdown_table().splitlines()[-2].startswith(
+        "sum          52.00  102.0% of 51.00 us"
+    )
 
 
 def test_tracer_empty_summary():
-    assert Tracer(Environment()).summary() == {}
+    assert CausalTracer(Environment()).summary() == {}
 
 
 def test_breakdown_table_renders():
-    tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 50_000)
+    tracer = CausalTracer(Environment())
+    _request(tracer, 1).record("fabric", "net", 0, 50_000)
     out = tracer.breakdown_table()
     assert "fabric" in out and "%" in out
 
 
-# --- tracer integration --------------------------------------------------------
+# --- stage view integration ----------------------------------------------------
 
 
 def test_traced_framework_covers_stages():
-    fw = build_framework(DELIBAK, trace=True)
+    fw = build_framework(DELIBAK, obs=True)
     job = FioJob("t", "randwrite", bs=kib(4), iodepth=1, nrequests=10)
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()
@@ -94,6 +87,22 @@ def test_traced_framework_covers_stages():
     assert summary["fabric"] > 0.5 * sum(summary.values())
     # Stage sum roughly accounts for end-to-end latency.
     assert sum(summary.values()) <= proc.value.mean_latency_us() * 1.1
+
+
+def test_breakdown_table_shows_cost_outside_the_stages():
+    """On the NBD stack the daemon's IPC crossings and copies lie outside
+    the six stages; the sum row shows the gap to the measured mean."""
+    fw = build_framework(DELIBA2, obs=True)
+    job = FioJob("t", "randwrite", bs=kib(4), iodepth=1, nrequests=20)
+    proc = fw.env.process(fw.run_fio(job))
+    fw.env.run()
+    assert proc.ok
+    mean_us = proc.value.mean_latency_us()
+    staged = sum(v for k, v in fw.tracer.summary().items() if k != "incomplete")
+    assert staged < 0.9 * mean_us
+    sum_row = fw.tracer.breakdown_table().splitlines()[-1]
+    assert sum_row.startswith("sum")
+    assert f"{staged / mean_us:.1%} of {mean_us:.2f} us mean request latency" in sum_row
 
 
 def test_untraced_framework_has_no_tracer():

@@ -1,4 +1,5 @@
-"""Tests for span export (Chrome trace JSON, CSV) and tracer edge cases."""
+"""Tests for the six-stage exports (Chrome trace JSON, CSV) and their
+edge cases."""
 
 import csv
 import json
@@ -7,14 +8,14 @@ import pytest
 
 from repro.cli import main
 from repro.deliba import DELIBAK, build_framework
+from repro.obs import STAGES, CausalTracer, stage_spans, stage_tenants
 from repro.sim import Environment
-from repro.trace import STAGES, Tracer
 from repro.units import kib
 from repro.workloads import FioJob
 
 
 def _traced_run(nrequests=10, seed=0):
-    fw = build_framework(DELIBAK, trace=True, seed=seed)
+    fw = build_framework(DELIBAK, obs=True, seed=seed)
     job = FioJob("t", "randwrite", bs=kib(4), iodepth=1, nrequests=nrequests)
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()
@@ -75,22 +76,22 @@ def test_csv_export_matches_span_stream(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["request_id", "tenant", "stage", "start_ns", "end_ns", "duration_ns"]
     body = rows[1:]
-    assert len(body) == sum(1 for _ in fw.tracer.iter_spans())
+    assert len(body) == len(stage_spans(fw.tracer.roots))
     for rid, tenant, stage, start, end, dur in body:
         assert stage in STAGES
         assert int(end) - int(start) == int(dur)
 
 
 def test_tenant_tags_thread_into_chrome_lanes_and_csv(tmp_path):
-    env = Environment()
-    tracer = Tracer(env)
-    tracer.record(1, "rings", 0, 10)
-    tracer.record(1, "complete", 10, 20)
-    tracer.record(2, "rings", 5, 15)
-    tracer.record(2, "complete", 15, 25)
-    tracer.tag_request(2, "tenant-a")
-    tracer.tag_request(3, "")  # empty tag is a no-op
-    assert tracer.tenants == {2: "tenant-a"}
+    tracer = CausalTracer(Environment())
+    first = tracer.start_root("write", req_id=1)
+    first.record("rings", "stage", 0, 10)
+    first.record("complete", "stage", 10, 20)
+    second = tracer.start_root("write", req_id=2, tenant="tenant-a")
+    second.record("rings", "stage", 5, 15)
+    second.record("complete", "stage", 15, 25)
+    tracer.start_root("write", req_id=3, tenant="")  # empty tag: untagged
+    assert stage_tenants(tracer.roots) == {2: "tenant-a"}
 
     doc = tracer.to_chrome_trace()
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
@@ -116,12 +117,12 @@ def test_tenant_tags_thread_into_chrome_lanes_and_csv(tmp_path):
 
 
 def test_tenant_tag_flows_from_fio_job_to_export():
-    fw = build_framework(DELIBAK, trace=True, seed=0)
+    fw = build_framework(DELIBAK, obs=True, seed=0)
     job = FioJob("t", "randwrite", bs=kib(4), iodepth=1, nrequests=5, tenant="gold")
     proc = fw.env.process(fw.run_fio(job))
     fw.env.run()
     assert proc.ok
-    assert set(fw.tracer.tenants.values()) == {"gold"}
+    assert set(stage_tenants(fw.tracer.roots).values()) == {"gold"}
     doc = fw.tracer.to_chrome_trace()
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert spans and all(e["args"]["tenant"] == "gold" for e in spans)
@@ -147,37 +148,40 @@ def test_cli_trace_export(tmp_path, capsys):
     assert out_csv.read_text().startswith("request_id,tenant,stage")
 
 
-# --- tracer edge cases --------------------------------------------------------
+# --- stage view edge cases ----------------------------------------------------
 
 
 def test_unclosed_spans_excluded_from_export():
     env = Environment()
-    tracer = Tracer(env)
-    tracer.begin(1, "rings")
+    tracer = CausalTracer(env)
+    root = tracer.start_root("write", req_id=1)
+    rings = root.child("rings", "stage")
     env.run(until=100)
-    tracer.end(1, "rings")
-    tracer.begin(1, "fabric")  # never closed
-    spans = list(tracer.iter_spans())
-    assert [(rid, s.stage) for rid, s in spans] == [(1, "rings")]
+    rings.finish()
+    root.child("fabric", "net")  # never closed
+    tracer.start_root("write").record("rings", "stage", 0, 5)  # never reached blk-mq
+    assert [(rid, s.name) for rid, s in stage_spans(tracer.roots)] == [(1, "rings")]
 
 
 def test_nested_distinct_stages_allowed():
     env = Environment()
-    tracer = Tracer(env)
-    tracer.begin(1, "fabric")
-    tracer.begin(1, "accel")  # nested inside fabric: fine, distinct stage
+    tracer = CausalTracer(env)
+    root = tracer.start_root("write", req_id=1)
+    fabric = root.child("fabric", "net")
+    accel = root.child("accel", "compute")  # overlaps fabric: fine, distinct stage
     env.run(until=50)
-    tracer.end(1, "accel")
+    accel.finish()
     env.run(until=80)
-    tracer.end(1, "fabric")
-    assert tracer.traces[1].stage_ns("fabric") == 80
-    assert tracer.traces[1].stage_ns("accel") == 50
+    fabric.finish()
+    summary = tracer.summary()
+    assert summary["fabric"] == pytest.approx(0.08)
+    assert summary["accel"] == pytest.approx(0.05)
 
 
 def test_zero_duration_span_counts_in_summary():
-    tracer = Tracer(Environment())
-    tracer.record(1, "dmq", 100, 100)  # entered but instantaneous
-    tracer.record(2, "dmq", 100, 300)
+    tracer = CausalTracer(Environment())
+    tracer.start_root("write", req_id=1).record("dmq", "queue", 100, 100)  # instantaneous
+    tracer.start_root("write", req_id=2).record("dmq", "queue", 100, 300)
     summary = tracer.summary()
     # Both requests entered dmq; dropping the zero-duration visit would
     # report 0.2 us instead of the true 0.1 us mean.
@@ -185,14 +189,14 @@ def test_zero_duration_span_counts_in_summary():
 
 
 def test_summary_and_table_on_empty_trace():
-    tracer = Tracer(Environment())
+    tracer = CausalTracer(Environment())
     assert tracer.summary() == {}
     assert "stage" in tracer.breakdown_table()
 
 
 def test_summary_on_single_request():
-    tracer = Tracer(Environment())
-    tracer.record(1, "fabric", 0, 4_000)
+    tracer = CausalTracer(Environment())
+    tracer.start_root("write", req_id=1).record("fabric", "net", 0, 4_000)
     summary = tracer.summary()
     # The request never reached "complete", so the summary says so
     # explicitly instead of silently dropping it from the denominator.
@@ -203,7 +207,7 @@ def test_summary_on_single_request():
 
 
 def test_export_empty_tracer(tmp_path):
-    tracer = Tracer(Environment())
+    tracer = CausalTracer(Environment())
     doc = tracer.to_chrome_trace()
     assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
     path = tracer.export_csv(tmp_path / "empty.csv")

@@ -5,11 +5,13 @@ Walks the ``repro`` package, collects each subpackage's ``__all__``
 exports (plus top-level modules), and emits one markdown section per
 module with the first docstring line of every class/function.
 
-Run:  python tools/gen_api_docs.py
+Run:  python tools/gen_api_docs.py            (rewrite docs/API.md)
+      python tools/gen_api_docs.py --check    (exit 1 if docs/API.md is stale)
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import pathlib
@@ -69,7 +71,8 @@ def describe_module(module) -> list[str]:
     return lines
 
 
-def main() -> int:
+def render() -> str:
+    """The full text of docs/API.md for the current source tree."""
     sections = [HEADER]
     packages = [repro] + [
         importlib.import_module(f"repro.{m.name}")
@@ -84,8 +87,24 @@ def main() -> int:
         entries = describe_module(module)
         if entries:
             sections.append("\n".join(entries) + "\n")
+    return "\n".join(sections)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Generate docs/API.md.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare instead of writing; exit 1 if docs/API.md is stale")
+    args = parser.parse_args(argv)
+    text = render()
+    if args.check:
+        name = OUT.relative_to(ROOT)
+        if not OUT.exists() or OUT.read_text() != text:
+            print(f"{name} is stale: run python tools/gen_api_docs.py", file=sys.stderr)
+            return 1
+        print(f"{name} is current")
+        return 0
     OUT.parent.mkdir(exist_ok=True)
-    OUT.write_text("\n".join(sections))
+    OUT.write_text(text)
     print(f"wrote {OUT} ({OUT.stat().st_size} bytes)")
     return 0
 
