@@ -264,6 +264,12 @@ def _result_table(stats: list[ChaosRunStats]) -> ExperimentResult:
 
 def exp_chaos(smoke: bool = False, seed: int = 0) -> ExperimentResult:
     """Run every chaos scenario plus a determinism double-run."""
+    return chaos_table(smoke, seed)[1]
+
+
+def chaos_table(smoke: bool = False, seed: int = 0) -> tuple[int, ExperimentResult]:
+    """:func:`exp_chaos` with an exit code: nonzero when the same-seed
+    rerun of the crash-replica scenario produced a different digest."""
     nreq = 80 if smoke else 300
     stats = [run_chaos_scenario(s, seed=seed, nrequests=nreq) for s in SCENARIOS]
     by_name = {s.scenario: s for s in stats}
@@ -281,7 +287,7 @@ def exp_chaos(smoke: bool = False, seed: int = 0) -> ExperimentResult:
         f"determinism (same seed, two runs): "
         f"{'PASS' if deterministic else 'FAIL'} (digest {crash.digest})"
     )
-    return res
+    return (0 if deterministic else 1), res
 
 
 def chaos_smoke(seed: int = 0, nrequests: int = 80) -> tuple[int, str]:

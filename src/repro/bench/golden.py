@@ -17,6 +17,9 @@ with digests of four canonical runs:
   block layer), so the stage view stays byte-identical.
 * ``span-forest`` — the raw span-tree dump of the ``randwrite`` and
   ``chaos`` profile scenarios.
+* ``net-faults`` — the fabric paths the runs above never reach: lossy,
+  flapping and power-cut chaos runs, a mid-run link degradation, and a
+  switch-tapped flow report.
 
 Recorded digests live in ``tests/golden/``; ``python -m repro golden``
 re-runs the canonical runs and compares (``--update`` re-records).  The
@@ -124,12 +127,87 @@ def span_forest_digest() -> str:
     return digest.hexdigest()
 
 
+#: ``net-faults`` chaos runs: (scenario name, I/Os), at seed 0.
+NET_FAULT_CHAOS_RUNS = (("lossy-fabric", 80), ("flaky-link", 80), ("power-loss", 300))
+
+
+def _net_fault_job(name: str, rw: str, prepare):
+    """Run one seeded fio job on a fresh DeLiBA-K stack.
+
+    ``prepare(fw)`` runs on the built stack before the job starts; its
+    return value is handed back with the framework and the job result.
+    """
+    from ..deliba import DELIBAK, build_framework
+    from ..units import kib
+    from ..workloads.fio import FioJob
+
+    fw = build_framework(DELIBAK, seed=0)
+    prepared = prepare(fw)
+    job = FioJob(name, rw, bs=kib(16), iodepth=8, nrequests=120)
+    proc = fw.env.process(fw.run_fio(job))
+    fw.env.run()
+    if not proc.ok:
+        raise proc.value
+    return fw, prepared, proc.value
+
+
+def net_faults_digest() -> str:
+    """Digest of the network paths no other canonical run reaches.
+
+    * the ``lossy-fabric`` and ``flaky-link`` chaos scenarios (dropped,
+      duplicated and corrupted messages; link flaps) and ``power-loss``
+      at 300 I/Os, whose outage kills an OSD with one of its messages
+      still on the wire: every field of each run's stats;
+    * a randwrite job whose ``server0`` links run at a quarter of their
+      bandwidth from 1 ms to 2.5 ms: its latency stream and the per-link
+      utilization report;
+    * a randrw job with a :class:`~repro.driver.CmacNetworkMonitor` on
+      the switch: its flow report and mirrored frame count.
+    """
+    from ..driver import CmacNetworkMonitor
+    from ..osd import FaultInjector
+    from ..units import ms
+    from .chaos import SCENARIOS, run_chaos_scenario
+
+    by_name = {s.name: s for s in SCENARIOS}
+    digest = hashlib.sha256()
+    for name, nrequests in NET_FAULT_CHAOS_RUNS:
+        stats = run_chaos_scenario(by_name[name], seed=0, nrequests=nrequests)
+        digest.update(repr(stats).encode())
+
+    def degrade(fw):
+        def schedule():
+            injector = FaultInjector(fw.cluster)
+            yield fw.env.timeout(ms(1))
+            injector.degrade_host_link("server0", 4.0)
+            yield fw.env.timeout(ms(1.5))
+            injector.restore_host_link("server0")
+
+        fw.env.process(schedule(), name="net-faults.degrade")
+
+    fw, _, result = _net_fault_job("degrade", "randwrite", degrade)
+    utilization = sorted(fw.cluster.network.utilization_report(fw.env.now).items())
+    digest.update(repr((result.latencies_ns, utilization)).encode())
+
+    def tap(fw):
+        monitor = CmacNetworkMonitor(fw.env, fw.cluster.network)
+        monitor.attach()
+        return monitor
+
+    _, monitor, result = _net_fault_job("tapped", "randrw", tap)
+    digest.update(monitor.report().encode())
+    counts = (monitor.total_frames, monitor.cmac.frames_rx)
+    digest.update(repr((counts, result.latencies_ns)).encode())
+    return digest.hexdigest()
+
+
 #: Canonical run name -> (digest file name, digest function).
 CANONICAL_RUNS = {
     "fig6": ("fig6.sha256", fig6_digest),
     "chaos-smoke": ("chaos-smoke.sha256", chaos_smoke_digest),
     "trace-view": ("trace-view.sha256", trace_view_digest),
     "span-forest": ("span-forest.sha256", span_forest_digest),
+    "net-faults": ("net-faults.sha256", net_faults_digest),
 }
 
 

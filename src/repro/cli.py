@@ -250,7 +250,7 @@ def _cmd_experiment(name: str) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .bench.chaos import chaos_smoke, exp_chaos, power_loss_smoke
+    from .bench.chaos import chaos_smoke, chaos_table, power_loss_smoke
 
     if args.power_loss:
         code, report = power_loss_smoke(seed=args.seed, nrequests=min(args.nrequests, 80))
@@ -260,8 +260,9 @@ def _cmd_chaos(args) -> int:
         code, report = chaos_smoke(seed=args.seed, nrequests=min(args.nrequests, 80))
         print(report)
         return code
-    print(exp_chaos(seed=args.seed).render())
-    return 0
+    code, result = chaos_table(seed=args.seed)
+    print(result.render())
+    return code
 
 
 def _cmd_crashsim(args) -> int:

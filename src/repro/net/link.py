@@ -4,16 +4,19 @@ A link is a single-server queue: frames serialize one at a time at the
 link's bandwidth (this is what caps throughput at the measured 9.8 Gb/s
 of the paper's 10 GbE fabric), then experience fixed propagation delay.
 Ethernet framing overhead is charged per MTU-sized frame.
+
+The queue is analytic rather than event-driven: the link remembers the
+instant its last reserved message finishes serializing (``free_at``),
+so a reservation is one arithmetic step and costs no simulator event.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from collections import deque
 
 from ..errors import NetworkError
-from ..sim import Environment, Resource
+from ..sim import Environment
 from ..units import transfer_ns
-from .message import Message
 
 #: Ethernet per-frame overhead: preamble+SFD (8) + header (14) + FCS (4) + IFG (12).
 ETHERNET_FRAME_OVERHEAD = 38
@@ -45,9 +48,14 @@ class Link:
         self.propagation_ns = propagation_ns
         self.mtu = mtu
         self.name = name
-        self._channel = Resource(env, capacity=1, name=f"link:{name}")
-        self.bytes_sent = 0
-        self.frames_sent = 0
+        #: Instant the last reserved message finishes serializing.
+        self.free_at = 0
+        #: Reservations still serializing, oldest first:
+        #: ``(start, end, wire bytes, frames)``.  Settled into the
+        #: counters once ``end`` has passed.
+        self._inflight: deque = deque()
+        self._bytes_sent = 0
+        self._frames_sent = 0
         #: Administrative state: messages offered to a down link are lost
         #: (the fabric checks before transmitting).  Flap via set_up().
         self.up = True
@@ -66,28 +74,58 @@ class Link:
             if not up:
                 self.flaps += 1
 
+    def _frames(self, payload_bytes: int) -> int:
+        return max(1, (payload_bytes + self.mtu - 1) // self.mtu)
+
     def wire_bytes(self, payload_bytes: int) -> int:
         """Bytes on the wire including per-frame Ethernet overhead."""
-        frames = max(1, (payload_bytes + self.mtu - 1) // self.mtu)
-        return payload_bytes + frames * ETHERNET_FRAME_OVERHEAD
+        return payload_bytes + self._frames(payload_bytes) * ETHERNET_FRAME_OVERHEAD
 
     def serialization_ns(self, payload_bytes: int) -> int:
         """Time to clock the message onto the wire."""
         return transfer_ns(self.wire_bytes(payload_bytes), self.bandwidth_bps)
 
-    def transmit(self, message: Message) -> Generator:
-        """Process: occupy the link for serialization, then propagate.
+    def reserve(self, payload_bytes: int) -> int:
+        """Queue a message for serialization now; return its far-end arrival.
 
-        Yields until the message has fully arrived at the far end.
-        Back-to-back messages queue FIFO on the link resource.
+        The message serializes FIFO behind every earlier reservation, at
+        the bandwidth in force now (a later bandwidth change does not
+        touch it), then propagates.  The returned instant is when its
+        last bit reaches the far end.
         """
-        ser = self.serialization_ns(message.size)
-        yield from self._channel.using(ser)
-        self.bytes_sent += self.wire_bytes(message.size)
-        self.frames_sent += max(1, (message.size + self.mtu - 1) // self.mtu)
-        yield self.env.timeout(self.propagation_ns)
+        now = self.env.now
+        self._settle(now)
+        frames = self._frames(payload_bytes)
+        wire = payload_bytes + frames * ETHERNET_FRAME_OVERHEAD
+        start = self.free_at if self.free_at > now else now
+        end = start + transfer_ns(wire, self.bandwidth_bps)
+        self.free_at = end
+        self._inflight.append((start, end, wire, frames))
+        return end + self.propagation_ns
+
+    def _settle(self, now: int) -> None:
+        """Count every reservation that finished serializing by ``now``."""
+        inflight = self._inflight
+        while inflight and inflight[0][1] <= now:
+            _start, _end, wire, frames = inflight.popleft()
+            self._bytes_sent += wire
+            self._frames_sent += frames
+
+    @property
+    def bytes_sent(self) -> int:
+        """Wire bytes (framing included) fully serialized so far."""
+        self._settle(self.env.now)
+        return self._bytes_sent
+
+    @property
+    def frames_sent(self) -> int:
+        """Frames fully serialized so far."""
+        self._settle(self.env.now)
+        return self._frames_sent
 
     @property
     def queue_len(self) -> int:
         """Messages waiting to serialize."""
-        return self._channel.queue_len
+        now = self.env.now
+        self._settle(now)
+        return sum(1 for start, _end, _wire, _frames in self._inflight if start > now)

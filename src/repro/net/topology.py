@@ -2,14 +2,15 @@
 
 Models the paper's testbed fabric: every host has a full-duplex 10 GbE
 port (uplink + downlink :class:`Link`), and the switch adds a fixed
-store-and-forward latency.  Delivery places the message in the
-destination host's inbox; TCP connections (``tcp.py``) layer ordering
-and stack costs on top.
+store-and-forward latency.  :meth:`Network.transfer` carries a message
+with two timeouts and a delivery callback; :meth:`Network.send` wraps it
+as a process that places the message in the destination host's inbox,
+and TCP connections (``tcp.py``) layer ordering and stack costs on top.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..errors import NetworkError
 from ..sim import NULL_METRICS, Environment, FilterStore
@@ -39,6 +40,28 @@ class Host:
         return f"<Host {self.name!r}>"
 
 
+class _InFlight:
+    """A message between its offer to the network and its delivery."""
+
+    __slots__ = ("message", "downlink", "on_delivered", "start", "behind", "rank")
+
+    def __init__(self, message: Message, downlink: Link, on_delivered):
+        self.message = message
+        self.downlink = downlink
+        self.on_delivered = on_delivered
+        #: When it starts serializing on its uplink.
+        self.start = 0
+        #: The message it queued behind on its uplink (until forwarded).
+        self.behind: Optional[_InFlight] = None
+        #: Forwarding sequence number at the switch.
+        self.rank = -1
+
+    def switch_order(self) -> tuple:
+        """Sort key among messages due at the switch in one nanosecond
+        (equal keys keep offer order)."""
+        return (self.start, -1 if self.behind is None else self.behind.rank)
+
+
 class Network:
     """A switch plus its attached hosts."""
 
@@ -65,6 +88,11 @@ class Network:
         #: Delivery taps (port mirroring): called with every delivered
         #: message.  Used by CMAC-based network monitors.
         self.taps: list = []
+        #: Messages due at the switch, by arrival instant, in offer order.
+        self._due: dict[int, list[_InFlight]] = {}
+        #: The message last offered on each host's uplink.
+        self._last_offered: dict[str, _InFlight] = {}
+        self._forwarded = 0
 
     def add_host(self, name: str) -> Host:
         """Attach a host with fresh up/down links."""
@@ -86,19 +114,57 @@ class Network:
         """True when every link on the src -> switch -> dst path is up."""
         return self.host(src).uplink.up and self.host(dst).downlink.up
 
-    def send(self, message: Message) -> Generator:
-        """Process: move a message src -> switch -> dst and deliver it.
+    def transfer(self, message: Message, on_delivered: Callable[[Message], None]) -> None:
+        """Carry a message src -> switch -> dst; call ``on_delivered(message)``.
 
-        Serialization happens on both the sender's uplink and the
-        receiver's downlink, so incast congestion at a busy receiver and
-        fan-out congestion at a busy sender both emerge naturally.
+        The sender's uplink is reserved now and one timeout runs to the
+        switch; there the receiver's downlink is reserved, so frames
+        reaching a busy receiver queue in arrival order, and a second
+        timeout runs to delivery.  Serialization happens on both links,
+        so incast congestion at a busy receiver and fan-out congestion
+        at a busy sender both emerge naturally.  No process is involved:
+        the transfer completes whatever happens to its sender.
         """
-        src = self.host(message.src)
-        dst = self.host(message.dst)
-        message.sent_at = self.env.now
-        yield from src.uplink.transmit(message)
-        yield self.env.timeout(self.switch_ns)
-        yield from dst.downlink.transmit(message)
+        now = self.env.now
+        uplink = self.host(message.src).uplink
+        entry = _InFlight(message, self.host(message.dst).downlink, on_delivered)
+        entry.start = max(now, uplink.free_at)
+        last = self._last_offered.get(message.src)
+        if last is not None and uplink.free_at >= now:
+            entry.behind = last
+        self._last_offered[message.src] = entry
+        message.sent_at = now
+        due = uplink.reserve(message.size) + self.switch_ns
+        self._due.setdefault(due, []).append(entry)
+        self.env.timeout(due - now).callbacks.append(self._at_switch)
+
+    def _at_switch(self, _event) -> None:
+        """Forward one message due at the switch now onto its downlink.
+
+        Each message due at an instant schedules one call, and each call
+        forwards the first message still due, in switch order: earliest
+        start of uplink serialization first; at equal starts, messages
+        that found their uplink idle (in offer order) before those queued
+        behind another message (in the order those were forwarded).  The
+        order decides who waits when several messages reach one busy
+        downlink in the same nanosecond.
+        """
+        now = self.env.now
+        due = self._due[now]
+        if len(due) == 1:
+            entry = due.pop()
+            del self._due[now]
+        else:
+            entry = min(due, key=_InFlight.switch_order)
+            due.remove(entry)
+        entry.rank = self._forwarded
+        self._forwarded += 1
+        entry.behind = None
+        arrival = entry.downlink.reserve(entry.message.size)
+        self.env.timeout(arrival - now).callbacks.append(lambda _event: self._deliver(entry))
+
+    def _deliver(self, entry: "_InFlight") -> None:
+        message = entry.message
         message.delivered_at = self.env.now
         self.messages_delivered += 1
         self._m_messages.add()
@@ -106,7 +172,14 @@ class Network:
         self._m_delivery_ns.record(message.delivered_at - message.sent_at)
         for tap in self.taps:
             tap(message)
-        yield dst.inbox.put(message)
+        entry.on_delivered(message)
+
+    def send(self, message: Message) -> Generator:
+        """Process: transfer a message into the destination host's inbox."""
+        delivered = self.env.event()
+        self.transfer(message, delivered.succeed)
+        yield delivered
+        yield self.host(message.dst).inbox.put(message)
 
     def send_async(self, message: Message):
         """Fire-and-forget variant returning the delivery Process event."""

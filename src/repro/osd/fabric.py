@@ -151,40 +151,51 @@ class Fabric:
         """
         src_host = self.host_of(src)
         dst_host = self.host_of(dst)
+        corrupted = False
         if src_host == dst_host:
             yield self.env.timeout(LOOPBACK_NS + transfer_ns(nbytes, LOOPBACK_BW))
-            yield from self._deliver(src, dst, nbytes, payload, corrupted=False)
-            return
-        action = self.faults.classify() if self.faults is not None else None
-        yield self.env.timeout(self._entity_stack[src].tx_ns(nbytes))
-        if not self.network.path_up(src_host, dst_host):
-            self.link_drops += 1
-            return  # lost on a down link; sender's stack cost already paid
-        if action == "drop":
-            return
-        if action == "duplicate":
-            # A second copy chases the first down the same path.
-            self.env.process(
-                self._wire(src, dst, nbytes, payload, corrupted=False),
-                name=f"{src}->{dst}:dup",
-            )
-        yield from self._wire(src, dst, nbytes, payload, corrupted=action == "corrupt")
+        else:
+            action = self.faults.classify() if self.faults is not None else None
+            yield self.env.timeout(self._entity_stack[src].tx_ns(nbytes))
+            if not self.network.path_up(src_host, dst_host):
+                self.link_drops += 1
+                return  # lost on a down link; sender's stack cost already paid
+            if action == "drop":
+                return
+            processed = self._wire(src, dst, nbytes)
+            if action == "duplicate":
+                # A second copy chases the first down the same path.
+                self._wire(src, dst, nbytes).callbacks.append(
+                    lambda _event: self._deliver(src, dst, nbytes, payload, corrupted=False)
+                )
+            # A sender killed while it waits here leaves its message on the
+            # wire, still holding both links, but it never reaches the inbox.
+            yield processed
+            corrupted = action == "corrupt"
+        accepted = self._deliver(src, dst, nbytes, payload, corrupted)
+        if accepted is not None:
+            yield accepted
 
-    def _wire(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool) -> Generator:
-        """Wire transfer + receiver stack + inbox delivery (cross-host)."""
-        src_host = self.host_of(src)
-        dst_host = self.host_of(dst)
-        msg = Message(src_host, dst_host, nbytes, payload=(src, dst))
-        yield self.env.process(self.network.send(msg))
-        yield self.network.host(dst_host).inbox.get(lambda m: m.msg_id == msg.msg_id)
-        yield self.env.timeout(self._entity_stack[dst].rx_ns(nbytes))
-        yield from self._deliver(src, dst, nbytes, payload, corrupted)
+    def _wire(self, src: str, dst: str, nbytes: int) -> Event:
+        """Start a cross-host wire transfer.
 
-    def _deliver(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool) -> Generator:
+        The returned event fires once the message has been delivered and
+        the receiver's stack has processed it (RX cost).
+        """
+        processed = self.env.event()
+        msg = Message(self._entity_host[src], self._entity_host[dst], nbytes, payload=(src, dst))
+        self.network.transfer(
+            msg, lambda _msg: processed.succeed(delay=self._entity_stack[dst].rx_ns(nbytes))
+        )
+        return processed
+
+    def _deliver(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool):
+        """Queue an envelope in ``dst``'s inbox and return the put event,
+        or bounce it off a crashed ``dst`` and return None."""
         if dst in self._dead:
             self._bounce(dst, src, payload)
-            return
-        yield self._inbox[dst].put(Envelope(src, payload, nbytes, corrupted))
+            return None
+        return self._inbox[dst].put(Envelope(src, payload, nbytes, corrupted))
 
     def _bounce(self, dead: str, src: str, payload: Any) -> None:
         """Answer a request to a crashed entity with the kernel's RST."""

@@ -15,6 +15,7 @@ chaos run replays bit-identically for a given seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -117,6 +118,13 @@ class FaultInjector:
                         ("corrupt_p", corrupt_p)):
             if not 0.0 <= p <= 1.0:
                 raise StorageError(f"{name} must be in [0, 1], got {p}")
+        # One uniform draw classifies each message against the cumulative
+        # thresholds, so the three fates must fit in one unit interval.
+        total = math.fsum((drop_p, duplicate_p, corrupt_p))
+        if total > 1.0:
+            raise StorageError(
+                f"drop_p + duplicate_p + corrupt_p must be <= 1, got {total}"
+            )
         faults = MessageFaults(
             rng=rng if rng is not None else self.cluster.rng.stream("chaos"),
             drop_p=drop_p,

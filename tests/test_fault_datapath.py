@@ -235,6 +235,18 @@ def test_message_faults_deterministic_and_counted():
         injector.set_message_faults(drop_p=1.5)
 
 
+def test_message_fault_probabilities_must_sum_to_at_most_one():
+    """One draw picks the fate, so 0.6 + 0.6 would silently turn 40% of
+    messages into duplicates and never corrupt or deliver one clean."""
+    _, cluster = small_cluster(seed=11)
+    injector = FaultInjector(cluster)
+    with pytest.raises(StorageError, match="must be <= 1"):
+        injector.set_message_faults(drop_p=0.6, duplicate_p=0.6)
+    assert cluster.fabric.faults is None
+    faults = injector.set_message_faults(drop_p=0.1, duplicate_p=0.2, corrupt_p=0.7)
+    assert (faults.drop_p, faults.duplicate_p, faults.corrupt_p) == (0.1, 0.2, 0.7)
+
+
 def test_lossy_fabric_io_still_completes():
     """With drops, dups, and corruption on the wire, retries and replays
     deliver every byte correctly."""

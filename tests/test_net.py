@@ -75,17 +75,8 @@ def test_link_serialization_time():
 def test_link_fifo_contention():
     env = Environment()
     link = Link(env, 1e9, 0, mtu=9000)  # 1 GB/s, no propagation
-    done = []
-
-    def sender(env, tag):
-        msg = Message("a", "b", 1000 - ETHERNET_FRAME_OVERHEAD)
-        yield from link.transmit(msg)  # ~1000ns each
-        done.append((tag, env.now))
-
-    for t in range(3):
-        env.process(sender(env, t))
-    env.run()
-    times = [t for _, t in done]
+    # Offered together, ~1000ns each: they arrive one serialization apart.
+    times = [link.reserve(1000 - ETHERNET_FRAME_OVERHEAD) for _ in range(3)]
     # Serialized back-to-back: roughly 1us, 2us, 3us.
     assert times[1] - times[0] >= 900
     assert times[2] - times[1] >= 900

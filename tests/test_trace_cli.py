@@ -117,6 +117,37 @@ def test_stage_names_canonical():
 # --- cli -------------------------------------------------------------------------
 
 
+def _fake_chaos_runs(monkeypatch, rerun_digest: str) -> list:
+    """Stand in instant stats for every chaos scenario run; the second
+    run of a scenario (the determinism rerun) reports ``rerun_digest``."""
+    from repro.bench import chaos
+
+    calls = []
+
+    def run(scenario, seed=0, nrequests=300):
+        calls.append(scenario.name)
+        digest = rerun_digest if calls.count(scenario.name) > 1 else "first"
+        return chaos.ChaosRunStats(
+            scenario.name, ios=nrequests, errors=0, error_rate=0.0, p50_us=1.0,
+            p99_us=1.0, p999_us=1.0, throughput_mb_s=1.0, retries=0, timeouts=0,
+            failovers=0, degraded_reads=0, replays=0, msg_dropped=0, msg_duplicated=0,
+            msg_corrupted=0, link_drops=0, osds_marked_down=0, digest=digest,
+        )
+
+    monkeypatch.setattr(chaos, "run_chaos_scenario", run)
+    return calls
+
+
+def test_cli_chaos_exit_code_follows_the_determinism_rerun(monkeypatch, capsys):
+    calls = _fake_chaos_runs(monkeypatch, rerun_digest="diverged")
+    assert main(["chaos", "--seed", "0"]) == 1
+    assert calls.count("crash-replica") == 2
+    assert "FAIL" in capsys.readouterr().out
+    _fake_chaos_runs(monkeypatch, rerun_digest="first")
+    assert main(["chaos", "--seed", "0"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_cli_frameworks(capsys):
     assert main(["frameworks"]) == 0
     out = capsys.readouterr().out
