@@ -21,7 +21,6 @@ import argparse
 import hashlib
 import json
 import pathlib
-import sys
 import time
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parents[1] / "BENCH_3.json"

@@ -266,8 +266,8 @@ class IoUring:
         yield from self.core.run(self.costs.post_cqe_ns)
         if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.READ:
             yield from self.kernel.copy(self.core, sqe.length)
-        # blk_status_to_errno(): per-bio status -> negative errno in res.
-        status = request.status_for(sqe.bio)
+        # blk_status_to_errno(): request status -> negative errno in res.
+        status = request.status
         if not status and request.error:
             # Legacy string-only failure (no status set): generic -EIO.
             status = BlkStatus.IOERR

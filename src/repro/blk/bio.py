@@ -77,9 +77,6 @@ class Request:
     error: str = ""
     #: Request-wide status set by the driver on completion (BLK_STS_*).
     status: BlkStatus = BlkStatus.OK
-    #: Per-bio statuses, parallel to ``bios``; empty means every bio
-    #: shares the request-wide ``status`` (the common, fault-free case).
-    bio_statuses: list = field(default_factory=list)
     #: Completion event, created by the block layer at submit time and
     #: fired by the driver (value = the request itself).
     completion: Optional[object] = None
@@ -100,63 +97,13 @@ class Request:
         if error and not self.error:
             self.error = error
 
-    def fail_bio(self, index: int, status: BlkStatus) -> None:
-        """Mark one merged bio failed (partial-failure completion).
-
-        The request-wide status becomes the worst per-bio status, so
-        callers that only look at ``request.status`` still see a failure.
-        """
-        if not self.bio_statuses:
-            self.bio_statuses = [BlkStatus.OK] * len(self.bios)
-        self.bio_statuses[index] = self.bio_statuses[index].combine(status)
-        self.status = self.status.combine(status)
-
-    def fail_extents(self, extent_errors) -> None:
-        """Map failed device byte extents onto the bios they overlap.
-
-        ``extent_errors`` is an iterable of ``(offset, length, status,
-        message)``; bios outside every failed extent stay OK — the
-        partial-failure semantics of a merged multi-bio request.
-        """
-        for offset, length, status, message in extent_errors:
-            end = offset + length
-            hit = False
-            for i, b in enumerate(self.bios):
-                if b.offset < end and offset < b.offset + b.size:
-                    self.fail_bio(i, status)
-                    hit = True
-            if not hit:
-                # Extent maps to no bio (shouldn't happen): fail globally
-                # rather than swallow the error.
-                self.fail(status)
-            if message and not self.error:
-                self.error = message
-
     def fail_from_exc(self, exc: Exception) -> None:
         """Map a storage exception onto this request (driver completion).
 
-        Honors ``exc.status`` and per-extent ``exc.extent_errors`` when
-        present (duck-typed so the block layer needs no osd imports).
+        Honors ``exc.status`` when present (duck-typed so the block layer
+        needs no osd imports).
         """
-        extents = getattr(exc, "extent_errors", ())
-        if extents:
-            self.fail_extents(extents)
-            if not self.error:
-                self.error = str(exc)
-        else:
-            self.fail(getattr(exc, "status", BlkStatus.IOERR), str(exc))
-
-    def status_for(self, bio: Bio) -> BlkStatus:
-        """Completion status of one merged bio (identity lookup).
-
-        Bios are mutable (unhashable), so this scans by identity — merged
-        requests hold only a handful of bios.
-        """
-        if self.bio_statuses:
-            for i, b in enumerate(self.bios):
-                if b is bio:
-                    return self.bio_statuses[i]
-        return self.status
+        self.fail(getattr(exc, "status", BlkStatus.IOERR), str(exc))
 
     @property
     def op(self) -> IoOp:

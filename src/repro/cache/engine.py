@@ -9,7 +9,8 @@ Correctness invariants the implementation maintains:
 
 * a **clean** resident line's bytes always equal what a backend read of
   that range would return (write-around and bypass writes update
-  resident copies only *after* the backend write completes);
+  resident copies only *after* the backend write completes, and a line
+  fill is dropped if a backend write to its line was acked meanwhile);
 * a **dirty** line is never silently discarded — eviction, epoch
   invalidation, and explicit :meth:`flush` write it back first, through
   the normal :class:`repro.osd.policy.OpPolicy` retry/failover path, so
@@ -33,7 +34,7 @@ cache device or the fabric.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Generator, Optional
 
 from ..errors import StorageError
@@ -89,6 +90,10 @@ class CachedImage:
         self._epoch = image.client.osdmap.epoch
         #: line_id -> completion event of an in-flight flush.
         self._flush_events: dict[int, object] = {}
+        #: line_id -> backend writes acked so far.  A write acked while a
+        #: fill of its line is in flight finds no resident copy to update,
+        #: so a fill installs only if this count did not move meanwhile.
+        self._line_writes: Counter = Counter()
         self._dirty_ev = None
         # Plain counters (mirrored into the metrics registry).
         self.read_hits = 0
@@ -282,10 +287,15 @@ class CachedImage:
         """Process: write back every dirty line (durable on return).
 
         Loops until no dirty line remains, so writes that race with the
-        flush are flushed too (rather than silently surviving it).
+        flush are flushed too (rather than silently surviving it), and
+        until no write-back started elsewhere is in flight: its line is
+        already marked clean, and dropping it before the write lands
+        would let a refill read the pre-flush bytes.
         """
-        while self.store.dirty_count:
+        while self.store.dirty_count or self._flush_events:
             yield from self.flush_lines(self.store.dirty_lines_lru(), reason="all", ctx=ctx)
+            if self._flush_events:
+                yield self.env.all_of(list(self._flush_events.values()))
 
     def invalidate(self) -> int:
         """Drop every resident line (raises if any line is dirty).
@@ -341,16 +351,25 @@ class CachedImage:
                 self._count("evictions")
 
     def _insert_line(self, line_id: int, line_len: int, data: bytearray,
-                     klass: str, dirty: bool) -> Generator:
-        """Process: insert a fully-populated line, evicting as needed.
+                     klass: str, dirty: bool, fill_mark: Optional[int] = None) -> Generator:
+        """Process: insert a fully-populated line, evicting as needed;
+        returns whether it was inserted.
 
         If a concurrent op made the line resident while we were filling,
         the resident copy wins (it is at least as new) and for writes the
-        incoming bytes were already overlaid by the caller.
+        incoming bytes were already overlaid by the caller.  A line read
+        from the backend passes ``fill_mark``, the line's acked-write
+        count when the fill started; if a backend write was acked since
+        (checked again after eviction, which may wait on a write-back),
+        the fill may hold pre-write bytes and is not inserted.
         """
-        if line_id in self.store:
-            return
+        if line_id in self.store or (
+            fill_mark is not None and self._line_writes[line_id] != fill_mark
+        ):
+            return False
         yield from self._make_room(klass)
+        if fill_mark is not None and self._line_writes[line_id] != fill_mark:
+            return False
         line = CacheLine(line_id, data, klass, self.env.now)
         if dirty:
             line.mark_dirty(self.env.now)
@@ -360,17 +379,37 @@ class CachedImage:
         if dirty:
             self._kick_cleaner()
         self._refresh_gauges()
+        return True
 
     # -- backend helpers ----------------------------------------------------------
 
     def _fetch_line(self, line_off: int, line_len: int, ctx=NULL_SPAN, tenant: str = "") -> Generator:
-        """Process: read one full (clamped) line from the backend.
+        """Process: read one full (clamped) line from the backend;
+        returns ``(data, mark)``, ``mark`` being the line's acked-write
+        count when the read was issued (see :meth:`_insert_line`).
 
         ``tenant`` attributes the fill to the op that missed; lazy
         flush/cleaner traffic stays untagged (cache housekeeping).
         """
+        mark = self._line_writes[line_off // self.config.line_size]
         data = yield from self.image.read(line_off, line_len, ctx=ctx, tenant=tenant)
-        return data
+        return data, mark
+
+    def _note_write(self, offset: int, length: int) -> None:
+        """Count one acked backend write against every line it touched."""
+        ls = self.config.line_size
+        for line_id in range(offset // ls, (offset + length - 1) // ls + 1):
+            self._line_writes[line_id] += 1
+
+    def _write_around(
+        self, offset: int, data: bytes, sequential: bool, ctx, tenant: str
+    ) -> Generator:
+        """Process: write straight to the backend, then count the ack and
+        overlay any resident copies of the range — only once the write is
+        durable, so a failed write cannot strand stale "clean" data."""
+        yield from self.image.write(offset, data, sequential=sequential, ctx=ctx, tenant=tenant)
+        self._note_write(offset, len(data))
+        self._update_resident(offset, data)
 
     # -- the datapath --------------------------------------------------------------
 
@@ -434,7 +473,7 @@ class CachedImage:
                 proc = fetches.get(line_id)
                 if proc is None:
                     continue
-                full = results[proc]
+                full, fill_mark = results[proc]
                 rel = seg_off - line_off
                 resident = self.store.peek(line_id)
                 if resident is not None:
@@ -444,10 +483,11 @@ class CachedImage:
                     continue
                 parts[line_id] = full[rel : rel + seg_len]
                 if self.promotion.should_promote(line_id):
-                    yield from self._insert_line(
-                        line_id, line_len, bytearray(full), klass, dirty=False
-                    )
-                    inserted_bytes += line_len
+                    if (yield from self._insert_line(
+                        line_id, line_len, bytearray(full), klass, dirty=False,
+                        fill_mark=fill_mark,
+                    )):
+                        inserted_bytes += line_len
                 else:
                     self._count("promotion_rejects")
         if inserted_bytes:
@@ -481,14 +521,9 @@ class CachedImage:
             if bypass:
                 self._count("seq_bypasses")
             try:
-                yield from self.image.write(
-                    offset, data, sequential=sequential, ctx=span, tenant=tenant
-                )
+                yield from self._write_around(offset, data, sequential, span, tenant)
             finally:
                 span.finish(bypass=bypass)
-            # Only after the backend write is durable may resident copies
-            # change, so a failed write cannot strand stale "clean" data.
-            self._update_resident(offset, data)
             return
         if config.mode is CacheMode.WRITE_THROUGH:
             yield from self._write_through(offset, data, desc, span, sequential, tenant)
@@ -532,6 +567,7 @@ class CachedImage:
         yield from wrap_span(leg, self.image.write(
             offset, data, sequential=sequential, ctx=leg, tenant=tenant,
         ))
+        self._note_write(offset, len(data))
         klass = self.classifier.classify(desc)
         cached_bytes = 0
         for line_id, line_off, line_len, seg_off, seg_len in self._segments(offset, len(data)):
@@ -603,9 +639,8 @@ class CachedImage:
             leg = span.child("backend", "fanout", op="write")
             rel = seg_off - offset
             backend_procs.append(self.env.process(
-                wrap_span(leg, self.image.write(
-                    seg_off, data[rel : rel + seg_len], sequential=False, ctx=leg,
-                    tenant=tenant,
+                wrap_span(leg, self._write_around(
+                    seg_off, data[rel : rel + seg_len], False, leg, tenant
                 )),
                 name="cache.wb-miss",
             ))
@@ -635,9 +670,18 @@ class CachedImage:
                     resident.data[rel_dst : rel_dst + seg_len] = data[rel_src : rel_src + seg_len]
                     self.store.note_dirty(resident, self.env.now)
                 else:
-                    full = bytearray(results[proc])
+                    fetched, fill_mark = results[proc]
+                    full = bytearray(fetched)
                     full[rel_dst : rel_dst + seg_len] = data[rel_src : rel_src + seg_len]
-                    yield from self._insert_line(line_id, line_len, full, klass, dirty=True)
+                    if not (yield from self._insert_line(
+                        line_id, line_len, full, klass, dirty=True, fill_mark=fill_mark,
+                    )):
+                        # The fill may predate a backend write acked
+                        # meanwhile: this segment goes straight through.
+                        yield from self._write_around(
+                            seg_off, data[rel_src : rel_src + seg_len], False, span, tenant
+                        )
+                        continue
                 dirtied = True
         if backend_procs:
             yield self.env.all_of(backend_procs)

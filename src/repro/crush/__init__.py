@@ -6,13 +6,6 @@ straw, straw2 with the fixed-point log table), weighted hierarchies,
 rules (firstn/indep, chooseleaf), and the object->PG->OSD pipeline.
 """
 
-from .analyze import (
-    DistributionReport,
-    MovementReport,
-    analyze_distribution,
-    analyze_movement,
-    optimal_movement_fraction,
-)
 from .buckets import (
     Bucket,
     ListBucket,
@@ -26,23 +19,11 @@ from .hashing import hash32, hash32_2, hash32_3, hash32_4, str_hash
 from .ln_table import crush_ln, ln_of_uniform_u16
 from .map import CrushMap, Device, build_flat_cluster, build_two_level_cluster
 from .placement import PlacementEngine, object_to_pg, pg_seed, stable_mod
-from .serialize import dump_map, dump_rule, dumps, load_map, load_rule, loads
 from .rules import CrushRule, Mapper, Step, StepOp, erasure_rule, replicated_rule
 from .types import CRUSH_ITEM_NONE, WEIGHT_ONE, BucketAlg, DeviceClass, weight_float, weight_fp
 
 __all__ = [
     "Bucket",
-    "DistributionReport",
-    "MovementReport",
-    "analyze_distribution",
-    "analyze_movement",
-    "dump_map",
-    "dump_rule",
-    "dumps",
-    "load_map",
-    "load_rule",
-    "loads",
-    "optimal_movement_fraction",
     "BucketAlg",
     "CRUSH_ITEM_NONE",
     "CrushMap",

@@ -1,4 +1,4 @@
-"""Erasure coding: GF(2^8) Reed-Solomon plus a replication codec.
+"""Erasure coding: GF(2^8) Reed-Solomon.
 
 The data-durability layer of the simulated Ceph substrate, and the
 workload of the paper's Reed-Solomon Encoder RTL accelerator.
@@ -25,15 +25,11 @@ from .matrix import (
     vandermonde,
 )
 from .reed_solomon import ECProfile, ReedSolomon
-from .replication import ReplicationCodec
-from .stripe import StripeLayout
 
 __all__ = [
     "ECProfile",
     "PRIMITIVE_POLY",
     "ReedSolomon",
-    "ReplicationCodec",
-    "StripeLayout",
     "cauchy",
     "gauss_jordan_invert",
     "gf_add",

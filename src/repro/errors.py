@@ -56,22 +56,6 @@ class OsdOpError(StorageError):
         self.attempts = attempts
 
 
-class RbdIoError(StorageError):
-    """Block-image I/O failed on one or more object extents.
-
-    ``extent_errors`` holds ``(offset, length, status, message)`` tuples
-    (image byte ranges) so a driver can fail only the bios that overlap a
-    failed extent — the partial-failure semantics of a multi-bio request.
-    """
-
-    def __init__(self, message: str, status=None, extent_errors=()):
-        super().__init__(message)
-        from .status import BlkStatus
-
-        self.status = status or BlkStatus.IOERR
-        self.extent_errors = tuple(extent_errors)
-
-
 class BlockLayerError(ReproError):
     """Invalid bio/request or block-layer misconfiguration."""
 

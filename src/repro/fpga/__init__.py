@@ -57,14 +57,9 @@ from .qdma import (
     QueueSet,
 )
 from .resources import RegionLedger, ResourceVector
-from .xbtest import CardValidator, TestOutcome, ValidationReport, xbutil_examine
 
 __all__ = [
     "ACCEL_CLOCK_HZ",
-    "CardValidator",
-    "TestOutcome",
-    "ValidationReport",
-    "xbutil_examine",
     "Accelerator",
     "AcceleratorSpec",
     "AlveoU280",

@@ -1,4 +1,4 @@
-"""Simulated network: links, star topology, TCP with pluggable stacks.
+"""Simulated network: links, a star topology and TCP stack cost profiles.
 
 Three stack profiles reproduce the paper's progression: Linux kernel TCP
 (software Ceph / DeLiBA-1), the HLS FPGA TCP of DeLiBA-2, and the
@@ -8,7 +8,6 @@ Verilog RTL TX/RX redesign of DeLiBA-K.
 from .link import DEFAULT_MTU, ETHERNET_FRAME_OVERHEAD, JUMBO_MTU, Link
 from .message import Message
 from .stack import HLS_TCP, KERNEL_TCP, RTL_TCP, StackProfile, stack_by_name
-from .tcp import TCP_HEADER_BYTES, TcpConnection, TcpEndpoint
 from .topology import DEFAULT_HOP_NS, DEFAULT_SWITCH_NS, PAPER_BANDWIDTH_BPS, Host, Network
 
 __all__ = [
@@ -26,8 +25,5 @@ __all__ = [
     "PAPER_BANDWIDTH_BPS",
     "RTL_TCP",
     "StackProfile",
-    "TCP_HEADER_BYTES",
-    "TcpConnection",
-    "TcpEndpoint",
     "stack_by_name",
 ]

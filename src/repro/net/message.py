@@ -1,4 +1,4 @@
-"""Network message type shared by links, switches, and TCP connections."""
+"""Network message type carried by links and the switch."""
 
 from __future__ import annotations
 

@@ -4,8 +4,7 @@ Models the paper's testbed fabric: every host has a full-duplex 10 GbE
 port (uplink + downlink :class:`Link`), and the switch adds a fixed
 store-and-forward latency.  :meth:`Network.transfer` carries a message
 with two timeouts and a delivery callback; :meth:`Network.send` wraps it
-as a process that places the message in the destination host's inbox,
-and TCP connections (``tcp.py``) layer ordering and stack costs on top.
+as a process that places the message in the destination host's inbox.
 """
 
 from __future__ import annotations

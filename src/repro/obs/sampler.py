@@ -16,7 +16,7 @@ driven this way executes the exact same event sequence as a plain
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..sim import MetricsRegistry
 from ..units import us
@@ -130,19 +130,11 @@ def install_framework_probes(sampler: ResourceSampler, fw) -> list[str]:
         sampler.add_rate("obs.qdma.gbps", lambda q=queue: q.bytes_moved, scale=8.0)
 
     network = fw.cluster.network
-    client_name = getattr(fw.image.client, "entity", "client0")
-    try:
-        host = network.host(client_name)
-    except Exception:
-        host = None
-    if host is not None:
-        bw = float(network.bandwidth_bps)
-        sampler.add_rate(
-            "obs.net.client.up_util", lambda l=host.uplink: l.bytes_sent, scale=8.0e9 / bw
-        )
-        sampler.add_rate(
-            "obs.net.client.down_util", lambda l=host.downlink: l.bytes_sent, scale=8.0e9 / bw
-        )
+    host = network.host(fw.cluster.fabric.host_of(fw.image.client.entity))
+    # Wire bytes/ns as a fraction of the line rate (bandwidth_bps is bytes/s).
+    scale = 1e9 / network.bandwidth_bps
+    sampler.add_rate("obs.net.client.up_util", lambda l=host.uplink: l.bytes_sent, scale=scale)
+    sampler.add_rate("obs.net.client.down_util", lambda l=host.downlink: l.bytes_sent, scale=scale)
     return sampler.series_names()
 
 

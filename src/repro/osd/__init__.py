@@ -9,7 +9,6 @@ virtual block device (RBD) the block layer sits on.
 from .client import RadosClient
 from .faults import FaultInjector
 from .scrub import Inconsistency, ScrubReport, Scrubber
-from .zoned import Zone, ZoneState, ZonedDevice
 from .cluster import CephCluster, ClusterSpec, build_cluster
 from .fabric import Envelope, Fabric, MessageFaults, Messenger
 from .monitor import Monitor, RecoveryStats
@@ -33,7 +32,7 @@ from .qos import (
 )
 from .recovery import PGInfo, PGState, RecoveryConfig, RecoveryManager
 from .rbd import DEFAULT_OBJECT_SIZE, Extent, RBDImage
-from .storage import HDD, NVME_SSD, PROFILES, SATA_SSD, SMR_HDD, MediaProfile, StorageDevice
+from .storage import HDD, NVME_SSD, SATA_SSD, MediaProfile, StorageDevice
 from .wal import DurabilityConfig, WalRecord, WalReplayStats, WriteAheadLog
 
 __all__ = [
@@ -53,9 +52,6 @@ __all__ = [
     "Inconsistency",
     "ScrubReport",
     "Scrubber",
-    "Zone",
-    "ZoneState",
-    "ZonedDevice",
     "ClusterSpec",
     "DEFAULT_OBJECT_SIZE",
     "DEFAULT_POLICY",
@@ -81,7 +77,6 @@ __all__ = [
     "OsdState",
     "PGInfo",
     "PGState",
-    "PROFILES",
     "Pool",
     "PoolType",
     "RecoveryConfig",
@@ -90,7 +85,6 @@ __all__ = [
     "RadosClient",
     "RecoveryStats",
     "SATA_SSD",
-    "SMR_HDD",
     "StorageDevice",
     "WalRecord",
     "WalReplayStats",

@@ -496,6 +496,14 @@ class OsdQosScheduler:
         self._pump()
 
 
+def _repay(seen: int, debt: int) -> tuple[int, int]:
+    """One send's tag advance from ``seen`` completions and a ``debt``
+    of borrowed spacings: returns ``(advance, new_debt)``, advance >= 1."""
+    if seen > debt:
+        return seen - debt, 0
+    return 1, debt - seen + 1
+
+
 class TenantTracker:
     """Client-side dmClock bookkeeping for one messenger entity.
 
@@ -506,23 +514,32 @@ class TenantTracker:
     the phase feedback piggybacked on replies.  Installed on a
     :class:`~repro.osd.fabric.Messenger` as ``qos_tracker``, it hooks
     every request/reply without adding a single simulation event.
+
+    A send always advances the destination's tags by at least one
+    spacing.  When no completion landed since the last send there, that
+    one spacing is *borrowed* and repaid out of later sends' counts (the
+    borrowing tracker of Ceph's dmclock), so over a run the tags advance
+    by the completions seen, not by more.  Without the repayment a flow
+    that sends faster than its ops complete overshoots its R tags and
+    loses part of its reservation floor.
     """
 
     def __init__(self):
         #: flow -> (total completions, reservation-phase completions)
         self._totals: dict[tuple[str, str], tuple[int, int]] = {}
-        #: (flow, dst) -> totals snapshot at last send to dst
-        self._sent: dict[tuple[tuple[str, str], str], tuple[int, int]] = {}
+        #: (flow, dst) -> (totals snapshot at last send to dst,
+        #: borrowed delta, borrowed rho)
+        self._sent: dict[tuple[tuple[str, str], str], tuple[int, int, int, int]] = {}
 
     def stamp(self, op, dst: str) -> None:
         """Write rho/delta for a send of ``op`` to ``dst``."""
         tag = op.qos
         flow = tag.flow()
         total, res = self._totals.get(flow, (0, 0))
-        sent_total, sent_res = self._sent.get((flow, dst), (0, 0))
-        tag.delta = max(1, total - sent_total)
-        tag.rho = max(1, res - sent_res)
-        self._sent[(flow, dst)] = (total, res)
+        sent_total, sent_res, d_debt, r_debt = self._sent.get((flow, dst), (0, 0, 0, 0))
+        tag.delta, d_debt = _repay(total - sent_total, d_debt)
+        tag.rho, r_debt = _repay(res - sent_res, r_debt)
+        self._sent[(flow, dst)] = (total, res, d_debt, r_debt)
 
     def account(self, tag: QosTag, phase: int) -> None:
         """Record one completion and the phase it was served in."""

@@ -1,4 +1,4 @@
-"""Storage-device latency/bandwidth models (NVMe SSD, SATA SSD, HDD, SMR).
+"""Storage-device latency/bandwidth models (NVMe SSD, SATA SSD, HDD).
 
 A device is a queued server: fixed per-op media latency (different for
 sequential and random access, reads and writes) plus size/bandwidth
@@ -78,23 +78,6 @@ HDD = MediaProfile(
     readahead_hit_ns=us(20),
     flush_ns=int(2.0e6),
 )
-
-#: Host-managed SMR HDD (the paper ran tests on SMR; random writes must
-#: go through zone-append-style sequentialization, modeled as a penalty).
-SMR_HDD = MediaProfile(
-    "smr-hdd",
-    seq_read_ns=us(160),
-    rand_read_ns=int(4.5e6),
-    seq_write_ns=us(180),
-    rand_write_ns=int(9.0e6),
-    read_bw=0.19e9,
-    write_bw=0.15e9,
-    channels=1,
-    readahead_hit_ns=us(20),
-    flush_ns=int(3.0e6),
-)
-
-PROFILES = {p.name: p for p in (NVME_SSD, SATA_SSD, HDD, SMR_HDD)}
 
 
 class StorageDevice:
@@ -198,7 +181,10 @@ class StorageDevice:
             self.flushes += 1
             self.flushed_entries += batch
         finally:
-            self._flush_lock.release(req)
+            # An interrupt while still queued already withdrew the claim;
+            # one that lands at the grant instant leaves it to release.
+            if req.triggered:
+                self._flush_lock.release(req)
 
     def drop_volatile(self) -> list:
         """Power loss: return and clear the un-flushed cache entries."""

@@ -1,13 +1,15 @@
 """Cache tier: store/policy/classifier units and engine semantics.
 
 The engine tests drive a :class:`CachedImage` directly over a small
-cluster (no full framework) so every mode's datapath is exercised fast;
-the framework-level integration (PT golden identity, capacity curve,
+cluster (no full framework, except one iodepth-8 line-fill race
+reproducer) so every mode's datapath is exercised fast; the
+framework-level integration (PT golden identity, capacity curve,
 WB-vs-WT) lives in ``repro.bench.cachebench`` and its CI smoke.
 """
 
 import pytest
 
+from repro.blk import IoOp
 from repro.cache import (
     CacheConfig,
     CacheMode,
@@ -21,11 +23,12 @@ from repro.cache import (
     parse_cache_mode,
 )
 from repro.cache.engine import StreamDetector
+from repro.deliba import PoolSpec, build_framework, framework_by_name
 from repro.errors import CacheError
 from repro.osd import ClusterSpec, RBDImage, build_cluster
 from repro.sim import Environment, RngStream
-from repro.units import kib, mib
-from repro.workloads import ZipfJob
+from repro.units import kib, mib, us
+from repro.workloads import FioJob, ZipfJob
 
 ALL_MODES = (
     CacheMode.PASS_THROUGH,
@@ -228,6 +231,76 @@ def test_write_around_updates_backend_and_resident_copy():
     assert c.store.dirty_count == 0  # WA never dirties
     assert run(env, image.read(0, kib(16))) == b"\x77" * kib(16)  # backend current
     assert run(env, c.read(0, kib(16))) == b"\x77" * kib(16)  # resident copy too
+
+
+@pytest.mark.parametrize("mode", [CacheMode.WRITE_THROUGH, CacheMode.WRITE_BACK],
+                         ids=lambda m: m.value)
+def test_line_fill_racing_an_acked_write_reads_back_clean(mode):
+    """A read-miss fill of a 64 KiB line that races a write to another
+    block of the same line must not install its pre-write bytes: at
+    iodepth 8, WT used to read back zeros at offset 319488."""
+    cfg = framework_by_name("delibak")
+    fw = build_framework(
+        cfg,
+        pool_spec=PoolSpec(size=3),
+        cluster_spec=ClusterSpec(
+            num_server_hosts=3, osds_per_host=4, client_stack=cfg.client_stack, seed=0
+        ),
+        cache=CacheConfig(mode=mode),
+    )
+    job = FioJob("probe", "randrw", bs=kib(4), iodepth=8, size=mib(8), nrequests=200,
+                 rwmixread=0.5)
+    bios = job.make_bios(fw.rng.stream("fio.probe.j0"), payload_byte=0xA5)
+    run(fw.env, fw.engine.run(bios, 8))
+    run(fw.env, fw.cache.flush())
+    for offset in sorted({b.offset for b in bios if b.op is IoOp.WRITE}):
+        assert run(fw.env, fw.image.read(offset, kib(4))) == b"\xA5" * kib(4), offset
+        assert run(fw.env, fw.cache.image.read(offset, kib(4))) == b"\xA5" * kib(4), offset
+
+
+@pytest.mark.parametrize("delay_ns", [0, us(5)])
+def test_wb_line_fill_racing_a_backend_write_loses_nothing(delay_ns):
+    """A WB write whose promotion is rejected goes straight to the
+    backend; a partial write to the same line then fills and dirties it.
+    The fill must not carry pre-write bytes into the flush, or the flush
+    overwrites the acked write.  Delay 0: the fill completes before the
+    backend write is acked; 5 us: the ack lands while the fill is in
+    flight."""
+    env, _cluster, image = small_image()
+    c = cached(
+        CacheMode.WRITE_BACK, env, image,
+        promotion="nhit", promotion_hit_threshold=2, seq_cutoff_bytes=0, cleaning="nop",
+    )
+
+    def racing_writes():
+        first = env.process(c.write(0, b"\xAA" * kib(4)))  # rejected: backend
+        yield env.timeout(delay_ns)
+        second = env.process(c.write(kib(4), b"\xBB" * kib(4)))  # promoted: fill
+        yield env.all_of([first, second])
+
+    run(env, racing_writes())
+    run(env, c.flush())
+    assert run(env, image.read(0, kib(8))) == b"\xAA" * kib(4) + b"\xBB" * kib(4)
+    assert run(env, c.read(0, kib(8))) == b"\xAA" * kib(4) + b"\xBB" * kib(4)
+
+
+def test_flush_waits_for_a_write_back_already_in_flight():
+    """A line is marked clean when its write-back starts.  A second
+    flush() must still wait for that write: an epoch bump's flush +
+    invalidate used to drop the line early, and a refill then read (and
+    later flushed back) the pre-flush bytes, losing acked writes."""
+    env, _cluster, image = small_image()
+    c = cached(CacheMode.WRITE_BACK, env, image, cleaning="nop")
+    run(env, c.write(0, b"\xAB" * kib(16)))
+
+    def overlapping_flushes():
+        env.process(c.flush())  # starts the write-back of line 0
+        yield env.timeout(1)
+        assert c.store.dirty_count == 0 and c._flush_events
+        yield from c.flush()
+        return (yield from image.read(0, kib(16)))
+
+    assert run(env, overlapping_flushes()) == b"\xAB" * kib(16)
 
 
 def test_pass_through_touches_no_cache_state():

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from repro.ec import (
     ReedSolomon,
-    ReplicationCodec,
-    StripeLayout,
     cauchy,
     gauss_jordan_invert,
     gf_matmul,
@@ -180,84 +178,3 @@ def test_encode_shards_validation():
     rs = ReedSolomon(4, 2)
     with pytest.raises(ErasureCodingError):
         rs.encode_shards(np.zeros((3, 8), dtype=np.uint8))
-
-
-# --- replication codec -----------------------------------------------------------------
-
-
-def test_replication_roundtrip():
-    rc = ReplicationCodec(3)
-    shards = rc.encode(b"payload")
-    assert len(shards) == 3
-    assert rc.decode(shards, 7) == b"payload"
-
-
-def test_replication_survives_n_minus_1_losses():
-    rc = ReplicationCodec(3)
-    shards = rc.encode(b"payload")
-    assert rc.decode([None, None, shards[2]], 7) == b"payload"
-
-
-def test_replication_total_loss_raises():
-    rc = ReplicationCodec(2)
-    with pytest.raises(DecodeError):
-        rc.decode([None, None], 5)
-
-
-def test_replication_validation():
-    with pytest.raises(ErasureCodingError):
-        ReplicationCodec(0)
-    rc = ReplicationCodec(2)
-    with pytest.raises(ErasureCodingError):
-        rc.decode([b"x"], 1)
-
-
-def test_replication_overhead():
-    assert ReplicationCodec(3).storage_overhead() == 3.0
-    assert ReplicationCodec(3).k == 1
-    assert ReplicationCodec(3).m == 2
-    assert ReplicationCodec(3).n == 3
-
-
-# --- striping ---------------------------------------------------------------------------
-
-
-def test_stripe_geometry():
-    layout = StripeLayout(k=4, stripe_unit=1024)
-    assert layout.stripe_width == 4096
-    assert layout.stripe_of(0) == 0
-    assert layout.stripe_of(4096) == 1
-    assert layout.chunk_of(1024) == 1
-    assert layout.chunk_offset(1030) == 6
-
-
-def test_stripe_extent_coverage():
-    layout = StripeLayout(k=2, stripe_unit=512)  # width 1024
-    assert layout.stripes_for_extent(0, 1024) == [0]
-    assert layout.stripes_for_extent(512, 1024) == [0, 1]
-    assert layout.stripes_for_extent(0, 0) == []
-
-
-def test_stripe_extent_in_stripe():
-    layout = StripeLayout(k=2, stripe_unit=512)
-    off, ln = layout.extent_in_stripe(0, 512, 1024)
-    assert (off, ln) == (512, 512)
-    off, ln = layout.extent_in_stripe(1, 512, 1024)
-    assert (off, ln) == (0, 512)
-
-
-def test_full_stripe_write_detection():
-    layout = StripeLayout(k=4, stripe_unit=1024)
-    assert layout.is_full_stripe_write(0, 4096)
-    assert not layout.is_full_stripe_write(0, 2048)
-    assert not layout.is_full_stripe_write(100, 4096)
-
-
-def test_stripe_validation():
-    with pytest.raises(ErasureCodingError):
-        StripeLayout(0, 512)
-    with pytest.raises(ErasureCodingError):
-        StripeLayout(2, 0)
-    layout = StripeLayout(2, 512)
-    with pytest.raises(ErasureCodingError):
-        layout.stripe_of(-1)

@@ -43,17 +43,6 @@ def test_worst_status_combine():
     assert worst_status([]) is BlkStatus.OK
 
 
-def test_request_partial_failure_maps_to_bios():
-    from repro.blk.bio import Bio, IoOp, Request
-
-    bios = [Bio(IoOp.READ, sector=i * 8, size=4096) for i in range(4)]
-    req = Request(bios=list(bios))
-    req.fail_extents([(4096, 4096, BlkStatus.MEDIUM, "bad sector")])
-    assert req.status_for(bios[0]) is BlkStatus.OK
-    assert req.status_for(bios[1]) is BlkStatus.MEDIUM
-    assert req.status is BlkStatus.MEDIUM  # worst-of propagates to the request
-
-
 # --- retry policy -------------------------------------------------------------
 
 
@@ -294,7 +283,7 @@ def test_errno_reaches_uring_cqe():
 
     req = Request(bios=[Bio(IoOp.READ, sector=0, size=4096)])
     req.fail(BlkStatus.TIMEOUT, error="op timed out")
-    assert req.status_for(req.bios[0]).errno == ETIMEDOUT
+    assert req.status.errno == ETIMEDOUT
     req2 = Request(bios=[Bio(IoOp.WRITE, sector=0, size=4096)])
     exc = OsdOpError("gone", status=BlkStatus.TRANSPORT, attempts=3)
     req2.fail_from_exc(exc)

@@ -397,48 +397,3 @@ def test_power_report_breakdown():
     assert report.total_w() == pytest.approx(sum(breakdown.values()))
     report.remove_module("straw")
     assert "straw" not in report.breakdown_w()
-
-
-# --- xbutil / xbtest ---------------------------------------------------------
-
-
-def test_xbutil_examine_reports_utilization():
-    from repro.fpga import xbutil_examine
-
-    device = AlveoU280()
-    device.place_static("straw", KERNEL_SPECS["straw"].resources)
-    info = xbutil_examine(device)
-    assert info["device"].startswith("XCU280")
-    assert info["resources"]["lut_used"] == KERNEL_SPECS["straw"].resources.lut
-    assert 0 < info["utilization_pct"]["lut"] < 100
-
-
-def test_xbutil_examine_with_power():
-    from repro.fpga import PowerModel, PowerReport, xbutil_examine
-
-    report = PowerReport(PowerModel())
-    info = xbutil_examine(AlveoU280(), report)
-    assert info["power_w"] > 25
-
-
-def test_card_validation_suite_passes():
-    from repro.fpga import CardValidator
-    from repro.units import mib
-
-    env = Environment()
-    qdma = QdmaEngine(env, PcieLink(env))
-    validator = CardValidator(env, AlveoU280(), qdma)
-
-    def proc(env):
-        return (yield from validator.run_suite(transfer_bytes=mib(16)))
-
-    p = env.process(proc(env))
-    env.run()
-    report = p.value
-    assert report.passed, report.render()
-    names = [o.name for o in report.outcomes]
-    assert names == ["dma-h2c", "dma-c2h", "memory-walk", "queue-sets"]
-    # DMA bandwidth in the PCIe Gen3 x16 ballpark.
-    h2c = report.outcomes[0].metrics["bandwidth_gbps"]
-    assert 60 < h2c < 130
-    assert "PASS" in report.render()

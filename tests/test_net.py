@@ -1,4 +1,4 @@
-"""Tests for links, the star network, and TCP connections."""
+"""Tests for links, the star network, and TCP stack cost profiles."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.net import (
     Link,
     Message,
     Network,
-    TcpEndpoint,
     stack_by_name,
 )
 from repro.sim import Environment
@@ -164,96 +163,6 @@ def test_stack_cost_ordering():
     # The whole point: rtl < hls < kernel for any message size.
     for size in (0, 4096, 131072):
         assert RTL_TCP.tx_ns(size) < HLS_TCP.tx_ns(size) < KERNEL_TCP.tx_ns(size)
-
-
-def test_tcp_requires_connect():
-    env, net = make_net(2)
-    conn = TcpEndpoint(net, "h0").connection_to("h1")
-
-    def proc(env):
-        yield from conn.send("h0", 100)
-
-    env.process(proc(env))
-    with pytest.raises(NetworkError):
-        env.run()
-
-
-def test_tcp_send_recv_roundtrip():
-    env, net = make_net(2)
-    ep = TcpEndpoint(net, "h0", stack=KERNEL_TCP)
-    results = {}
-
-    def client(env):
-        conn = yield from ep.ensure_connected("h1")
-        yield env.process(conn.send("h0", 4096, payload="request"), name="tx")
-        results["sent_at"] = env.now
-
-    def server(env):
-        conn = ep.connection_to("h1")
-        msg = yield conn.recv("h1")
-        results["received"] = msg.payload[1]
-        results["recv_at"] = env.now
-
-    env.process(client(env))
-    env.process(server(env))
-    env.run()
-    assert results["received"] == "request"
-    assert results["recv_at"] > 0
-
-
-def test_tcp_stack_choice_changes_latency():
-    def run(stack):
-        env, net = make_net(2)
-        ep = TcpEndpoint(net, "h0", stack=stack)
-        t = {}
-
-        def client(env):
-            conn = yield from ep.ensure_connected("h1")
-            start = env.now
-            yield env.process(conn.send("h0", 4096))
-            t["lat"] = env.now - start
-
-        env.process(client(env))
-        env.run()
-        return t["lat"]
-
-    assert run(RTL_TCP) < run(HLS_TCP) < run(KERNEL_TCP)
-
-
-def test_tcp_endpoint_caches_connections():
-    env, net = make_net(2)
-    ep = TcpEndpoint(net, "h0")
-    assert ep.connection_to("h1") is ep.connection_to("h1")
-
-
-def test_tcp_bad_endpoint_errors():
-    env, net = make_net(2)
-    conn = TcpEndpoint(net, "h0").connection_to("h1")
-    with pytest.raises(NetworkError):
-        conn.recv("h9")
-
-
-def test_tcp_interleaved_connections_no_crosstalk():
-    env, net = make_net(3)
-    ep0 = TcpEndpoint(net, "h0")
-    ep1 = TcpEndpoint(net, "h1")
-    got = {}
-
-    def client(env, ep, me, payload):
-        conn = yield from ep.ensure_connected("h2")
-        yield env.process(conn.send(me, 1024, payload=payload))
-
-    def server(env, ep, peer, key):
-        conn = ep.connection_to("h2")  # same object as client's
-        msg = yield conn.recv("h2")
-        got[key] = msg.payload[1]
-
-    env.process(client(env, ep0, "h0", "from-h0"))
-    env.process(client(env, ep1, "h1", "from-h1"))
-    env.process(server(env, ep0, "h0", "c0"))
-    env.process(server(env, ep1, "h1", "c1"))
-    env.run()
-    assert got == {"c0": "from-h0", "c1": "from-h1"}
 
 
 def test_network_utilization_report():

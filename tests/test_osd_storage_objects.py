@@ -124,6 +124,43 @@ def test_device_channel_contention():
     assert max(done) > min(done)  # second wave queued behind the first
 
 
+def _assert_flush_lock_recovers(env, dev, victim):
+    """The interrupted flush died, the lock is free, and a later flush
+    completes."""
+    env.run()
+    assert not victim.ok
+    assert dev._flush_lock.count == 0
+    later = env.process(dev.flush())
+    env.run()
+    assert later.ok
+
+
+def test_device_flush_interrupted_while_queued():
+    """Power loss on a flush still queued behind another must not
+    release the withdrawn lock claim (that crashed the simulator)."""
+    env = Environment()
+    dev = StorageDevice(env, NVME_SSD, name="d")
+    first = env.process(dev.flush())
+    second = env.process(dev.flush())
+    env.run(until=us(1))
+    second.interrupt()
+    _assert_flush_lock_recovers(env, dev, second)
+    assert first.ok and dev.flushes == 2
+
+
+def test_device_flush_interrupted_at_grant_instant():
+    """An interrupt after the lock is granted but before the flush
+    resumes must still release it."""
+    env = Environment()
+    dev = StorageDevice(env, NVME_SSD, name="d")
+    flush = env.process(dev.flush())  # granted at once, resumes later
+    kill = env.event()
+    kill.callbacks.append(lambda _ev: flush.interrupt())
+    kill.succeed()
+    _assert_flush_lock_recovers(env, dev, flush)
+    assert dev.flushes == 1
+
+
 # --- object store ---------------------------------------------------------------
 
 

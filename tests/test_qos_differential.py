@@ -12,6 +12,7 @@ from tests.qos_harness import (
     differential,
     open_loop_trace,
     replay,
+    replay_cluster,
     wait_diffs,
 )
 from repro.osd.qos import MClockQueue, QosConfig, QosSpec
@@ -143,3 +144,33 @@ def test_underload_is_invisible():
     fifo, mc = differential(config, trace, WORKERS, SERVICE_NS)
     assert all(d == 0 for d in wait_diffs(fifo, mc).values())
     assert all(s.max_wait_ns == 0 for s in mc.flows.values())
+
+
+def test_one_server_distributed_tags_reduce_to_mclock():
+    # With one server every completion lands where the flow sends, so
+    # dmClock's rho/delta must reduce to plain mClock: identical dispatch
+    # times.  "a" sends faster than its ops complete, so most of its
+    # sends see no new completion; flooring those at one spacing without
+    # repaying it ran a's R tags ahead and cut its 140k floor to ~126k.
+    config = QosConfig(tenants={
+        "a": QosSpec(reservation_iops=140_000, weight=0.5),
+        "b": QosSpec(weight=0.5),
+        "c": QosSpec(reservation_iops=60_000, weight=0.5),
+        "d": QosSpec(weight=1),
+    })
+    offered = {
+        ("client", "a"): 180_000.0,
+        ("client", "b"): 20_000.0,
+        ("client", "c"): 185_000.0,
+        ("client", "d"): 128_000.0,
+    }
+    trace = open_loop_trace(offered, ms(10))
+    mc = replay(MClockQueue(config), trace, WORKERS, SERVICE_NS)
+    dm = replay_cluster(
+        config, [(a.time, a.flow, 0) for a in trace], servers=1,
+        workers=WORKERS, service_ns=SERVICE_NS,
+    )
+    assert {k: v.dispatch_times for k, v in dm.items()} == {
+        k: v.dispatch_times for k, v in mc.flows.items()
+    }
+    assert dm[("client", "a")].rate_iops(ms(5), ms(10)) >= 140_000

@@ -12,7 +12,6 @@ import pytest
 from repro.errors import StorageError
 from repro.osd import (
     CLASS_RECOVERY,
-    CLASS_SYSTEM,
     ClusterSpec,
     MClockQueue,
     OpPolicy,
@@ -201,7 +200,7 @@ class _FakeOp:
 def test_tracker_stamps_completions_per_destination():
     tr = TenantTracker()
     flow_tag = QosTag("a")
-    # First send anywhere: no history, rho/delta floor at 1.
+    # First send anywhere: no history, rho/delta floor at 1 (borrowed).
     op = _FakeOp(flow_tag.derive())
     tr.stamp(op, "osd.0")
     assert (op.qos.rho, op.qos.delta) == (1, 1)
@@ -211,7 +210,10 @@ def test_tracker_stamps_completions_per_destination():
     tr.account(flow_tag, PHASE_RESERVATION)
     op2 = _FakeOp(flow_tag.derive())
     tr.stamp(op2, "osd.0")
-    assert op2.qos.delta == 3 and op2.qos.rho == 1
+    # Three completions less the spacing the first send borrowed.  The
+    # one reservation completion just repays rho's borrow, so rho floors
+    # at 1 again (borrowed anew).
+    assert op2.qos.delta == 2 and op2.qos.rho == 1
     # A different destination has seen nothing sent yet, so it gets the
     # full completion history.
     op3 = _FakeOp(flow_tag.derive())
@@ -229,6 +231,31 @@ def test_tracker_ignores_phase_none():
     tag = QosTag("a")
     tr.account(tag, 0)  # synthetic timeout reply: no feedback
     assert tr.completions(("client", "a")) == (0, 0)
+
+
+def test_tracker_repays_borrowed_spacings():
+    # Sends that saw no completion advance the tags one spacing each on
+    # credit; later completions pay that back before counting, so the
+    # advances add up to the completions seen, not to more.
+    tr = TenantTracker()
+    tag = QosTag("a")
+
+    def send():
+        op = _FakeOp(tag.derive())
+        tr.stamp(op, "osd.0")
+        return op.qos.rho
+
+    def complete(n):
+        for _ in range(n):
+            tr.account(tag, PHASE_RESERVATION)
+
+    rhos = [send(), send(), send()]  # nothing completed: borrow 3
+    complete(2)
+    rhos.append(send())  # 2 seen <= 3 owed: floor at 1, still owe 2
+    complete(4)
+    rhos.append(send())  # 4 seen - 2 owed
+    assert rhos == [1, 1, 1, 1, 2]
+    assert sum(rhos) == tr.completions(("client", "a"))[1]
 
 
 # --- admission gate -----------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""ResourceSampler edge cases: mid-interval run ends and empty runs
-(satellite of ISSUE 10)."""
+"""ResourceSampler edge cases: mid-interval run ends, empty runs, and
+the client NIC probes of a framework."""
 
-from repro.obs.sampler import ResourceSampler
+import pytest
+
+from repro.cache import CacheConfig, CacheMode
+from repro.deliba import FRAMEWORKS, build_framework
+from repro.obs.sampler import ResourceSampler, install_framework_probes, telemetry_summary
 from repro.sim import Environment, MetricsRegistry
-from repro.units import us
+from repro.units import kib, us
+from repro.workloads import FioJob
 
 
 def _busy(env, duration_ns):
@@ -58,3 +63,32 @@ def test_zero_request_workload_yields_empty_but_valid_series():
     assert len(series.times) == sampler.samples_taken - 1
     assert all(v == 0.0 for v in series.values)
     assert series.time_weighted_mean(env.now) == 0.0
+
+
+@pytest.mark.parametrize("cache", [None, CacheMode.WRITE_BACK], ids=["nocache", "wb"])
+@pytest.mark.parametrize("framework", ["delibak", "deliba2", "software-ceph"])
+def test_framework_probes_include_client_nic(framework, cache):
+    """The client entity (``client0``) lives on host ``clienthost0``: the
+    probes must resolve the host through the fabric, not by entity name."""
+    fw = build_framework(
+        FRAMEWORKS[framework], metrics=True,
+        cache=CacheConfig(mode=cache) if cache else None,
+    )
+    sampler = ResourceSampler(fw.env, fw.metrics)
+    names = install_framework_probes(sampler, fw)
+    assert {"obs.net.client.up_util", "obs.net.client.down_util"} <= set(names)
+
+
+def test_client_nic_utilization_is_a_fraction_of_line_rate():
+    """Link bandwidth is in bytes/s: a busy write stream keeps the client
+    uplink's mean utilization within the line rate (8x over it when the
+    scale treated bytes/s as bits/s)."""
+    fw = build_framework(FRAMEWORKS["delibak"], metrics=True)
+    sampler = ResourceSampler(fw.env, fw.metrics)
+    install_framework_probes(sampler, fw)
+    job = FioJob("nic", "randwrite", bs=kib(16), iodepth=4, nrequests=40)
+    proc = fw.env.process(fw.run_fio(job))
+    sampler.drive()
+    assert proc.ok
+    up = telemetry_summary(fw.metrics, fw.env.now)["obs.net.client.up_util"]
+    assert 0.1 < up["mean"] <= 1.0
