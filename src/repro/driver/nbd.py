@@ -128,8 +128,7 @@ class NbdDriver:
         )
         # The single-threaded daemon serializes request handling.
         tq = self.env.now
-        req = self._daemon.request()
-        yield req
+        req = yield from self._daemon.acquire()
         root.record("daemon", "queue", tq, self.env.now)
         try:
             yield from self.core.run(self.config.daemon_cost_ns)

@@ -150,8 +150,7 @@ class QdmaEngine:
         yield from self.pcie.h2c(DESCRIPTOR_BYTES)
         qs.h2c_ring.fetch(1)
         # H2C engine DMAs the payload and streams it out.
-        req = self._h2c_engine.request()
-        yield req
+        req = yield from self._h2c_engine.acquire()
         try:
             yield from self.pcie.h2c(nbytes)
             yield self.env.timeout(self._axi_ns(nbytes))
@@ -169,8 +168,7 @@ class QdmaEngine:
         desc = Descriptor(DescriptorKind.C2H, src_addr=0, dst_addr=0, length=nbytes)
         qs.c2h_ring.post(desc)
         yield from self._desc_engine.using(self._engine_cycles_ns(DESC_PROC_CYCLES))
-        req = self._c2h_engine.request()
-        yield req
+        req = yield from self._c2h_engine.acquire()
         try:
             yield self.env.timeout(self._axi_ns(nbytes))
             yield from self.pcie.c2h(nbytes)

@@ -31,8 +31,7 @@ class CpuCore:
             raise SimulationError(f"negative cpu time {duration}")
         if duration == 0:
             return
-        req = self._res.request(priority)
-        yield req
+        req = yield from self._res.acquire(priority)
         try:
             yield self.env.timeout(duration)
             self.busy_ns += duration

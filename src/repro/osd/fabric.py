@@ -9,17 +9,19 @@ Long-lived connections are assumed (as in Ceph's messenger, which keeps
 sessions open), so no per-op handshake is charged.
 
 The :class:`Messenger` base class adds request/reply correlation: ops
-carry ids, replies resolve the matching pending event.
+carry ids, replies resolve the matching pending event.  A started
+messenger attaches its demux to the fabric, which calls it with each
+:class:`Envelope` at delivery time: there is no inbox to queue in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
-from ..errors import NetworkError, ProcessKilled
+from ..errors import NetworkError
 from ..obs.context import NULL_SPAN
-from ..sim import Environment, Event, Store
+from ..sim import Environment, Event
 from ..status import BlkStatus
 from ..units import transfer_ns, us
 from .ops import OsdOp, OsdReply
@@ -35,7 +37,7 @@ LOOPBACK_BW = 10e9  # bytes/sec
 
 @dataclass
 class Envelope:
-    """What a receiver pulls from its fabric inbox."""
+    """One delivered message, as the fabric hands it to its receiver."""
 
     src: str
     payload: Any
@@ -89,7 +91,8 @@ class Fabric:
         self.network = network
         self._entity_host: dict[str, str] = {}
         self._entity_stack: dict[str, StackProfile] = {}
-        self._inbox: dict[str, Store] = {}
+        #: Per-entity delivery callbacks (see :meth:`attach`).
+        self._receivers: dict[str, Callable[[Envelope], None]] = {}
         #: Crashed entities and the status their bounces carry: a process
         #: crash answers with TRANSPORT (the peer kernel's RST); a power
         #: loss answers with the retryable AGAIN status.
@@ -106,7 +109,16 @@ class Fabric:
         self.network.host(host)  # validate
         self._entity_host[entity] = host
         self._entity_stack[entity] = stack
-        self._inbox[entity] = Store(self.env, name=f"fabric:{entity}")
+
+    def attach(self, entity: str, receiver: Callable[[Envelope], None]) -> None:
+        """Deliver ``entity``'s messages by calling ``receiver(envelope)``."""
+        self.host_of(entity)  # validate
+        self._receivers[entity] = receiver
+
+    def detach(self, entity: str) -> None:
+        """Remove ``entity``'s receiver: a delivery to it bounces while it
+        is marked dead and raises otherwise."""
+        self._receivers.pop(entity, None)
 
     def set_stack(self, entity: str, stack: StackProfile) -> None:
         """Swap an entity's stack profile (framework configuration)."""
@@ -133,18 +145,11 @@ class Fabric:
         """True if the entity has crashed and not restarted."""
         return entity in self._dead
 
-    def drain_inbox(self, entity: str) -> list:
-        """Remove and return every queued envelope (crash handling)."""
-        store = self._inbox[entity]
-        items = list(store.items)
-        store.items.clear()
-        return items
-
     def send(self, src: str, dst: str, nbytes: int, payload: Any) -> Generator:
         """Process: deliver ``payload`` from ``src`` to ``dst``.
 
         Completes when the receiver's stack has processed the message and
-        it sits in the destination inbox.  Chaos faults (installed via
+        its receiver has been called with it.  Chaos faults (installed via
         :attr:`faults`) and down links may instead lose, duplicate, or
         damage the message after the sender's stack cost is paid; a dead
         destination bounces requests with a transport-error reply.
@@ -169,12 +174,10 @@ class Fabric:
                     lambda _event: self._deliver(src, dst, nbytes, payload, corrupted=False)
                 )
             # A sender killed while it waits here leaves its message on the
-            # wire, still holding both links, but it never reaches the inbox.
+            # wire, still holding both links, but it is never delivered.
             yield processed
             corrupted = action == "corrupt"
-        accepted = self._deliver(src, dst, nbytes, payload, corrupted)
-        if accepted is not None:
-            yield accepted
+        self._deliver(src, dst, nbytes, payload, corrupted)
 
     def _wire(self, src: str, dst: str, nbytes: int) -> Event:
         """Start a cross-host wire transfer.
@@ -189,13 +192,16 @@ class Fabric:
         )
         return processed
 
-    def _deliver(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool):
-        """Queue an envelope in ``dst``'s inbox and return the put event,
-        or bounce it off a crashed ``dst`` and return None."""
+    def _deliver(self, src: str, dst: str, nbytes: int, payload: Any, corrupted: bool) -> None:
+        """Hand an envelope to ``dst``'s receiver, or bounce it off a
+        crashed ``dst``."""
         if dst in self._dead:
             self._bounce(dst, src, payload)
-            return None
-        return self._inbox[dst].put(Envelope(src, payload, nbytes, corrupted))
+            return
+        receiver = self._receivers.get(dst)
+        if receiver is None:
+            raise NetworkError(f"delivery to {dst!r}, which has no receiver attached")
+        receiver(Envelope(src, payload, nbytes, corrupted))
 
     def _bounce(self, dead: str, src: str, payload: Any) -> None:
         """Answer a request to a crashed entity with the kernel's RST."""
@@ -211,12 +217,6 @@ class Fabric:
     def send_async(self, src: str, dst: str, nbytes: int, payload: Any):
         """Fire-and-forget send (returns the delivery process event)."""
         return self.env.process(self.send(src, dst, nbytes, payload), name=f"{src}->{dst}")
-
-    def recv(self, entity: str):
-        """Event yielding the next :class:`Envelope` for ``entity``."""
-        if entity not in self._inbox:
-            raise NetworkError(f"unknown entity {entity!r}")
-        return self._inbox[entity].get()
 
 
 class Messenger:
@@ -235,32 +235,28 @@ class Messenger:
         #: In-flight request-handler processes, insertion-ordered so a
         #: crash kills them deterministically: proc -> (op_id, src).
         self._handlers: dict = {}
-        self._loop_proc = None
 
     def start(self) -> None:
-        """Spawn the demux loop (idempotent); clears any crash mark."""
+        """Attach the demux to the fabric (idempotent); clears any crash mark."""
         self.fabric.mark_alive(self.entity)
-        if self._loop_proc is None:
-            self._loop_proc = self.env.process(self._demux(), name=f"msgr:{self.entity}")
+        # Looked up now, so a demux patched onto the class is the one attached.
+        self.fabric.attach(self.entity, self._demux)
 
     def stop(self, status: BlkStatus = BlkStatus.TRANSPORT) -> None:
         """Crash the entity mid-op.
 
-        Kills the demux loop and every in-flight request handler, fails
-        this entity's own outstanding calls, and bounces queued/in-flight
+        Detaches the demux, kills every in-flight request handler, fails
+        this entity's own outstanding calls, and bounces in-flight
         requesters — nobody is left waiting on an event that will never
         fire.  ``status`` selects the failure class the peers observe:
         TRANSPORT for a process crash (connection reset), AGAIN for a
         power loss (retryable — the entity returns after WAL replay).
         """
-        if self._loop_proc is not None and self._loop_proc.is_alive:
-            self._loop_proc.interrupt("stopped")
-        self._loop_proc = None
+        self.fabric.detach(self.entity)
         self.fabric.mark_dead(self.entity, status)
         # Kill in-flight handlers; their requesters see a reset.
         for proc, (op_id, src) in list(self._handlers.items()):
-            if proc.is_alive:
-                proc.interrupt("crashed")
+            proc.interrupt("crashed")
             self._reset_reply(op_id, src, status)
         self._handlers.clear()
         # Fail our own outstanding calls (no reply is ever coming).
@@ -279,10 +275,6 @@ class Messenger:
                     )
                 )
         self._pending.clear()
-        # Bounce requests already accepted into the inbox but unread.
-        for envelope in self.fabric.drain_inbox(self.entity):
-            if isinstance(envelope.payload, OsdOp):
-                self._reset_reply(envelope.payload.op_id, envelope.src, status)
 
     def _reset_reply(
         self, op_id: int, src: str, status: BlkStatus = BlkStatus.TRANSPORT
@@ -297,53 +289,58 @@ class Messenger:
         reply = OsdReply(op_id, False, error=error, status=status)
         self.fabric.send_async(self.entity, src, reply.wire_size(), reply)
 
-    def _demux(self) -> Generator:
-        while True:
-            envelope = yield self.fabric.recv(self.entity)
-            payload = envelope.payload
-            if isinstance(payload, OsdReply):
-                if envelope.corrupted:
-                    # Damaged reply: surface a checksum failure, never
-                    # the (garbage) payload.
-                    payload = OsdReply(
+    def _demux(self, envelope: Envelope) -> None:
+        """Receive one envelope: resolve a reply's pending call, or start
+        a handler for a request."""
+        payload = envelope.payload
+        if isinstance(payload, OsdReply):
+            if envelope.corrupted:
+                # Damaged reply: surface a checksum failure, never
+                # the (garbage) payload.
+                payload = OsdReply(
+                    payload.op_id,
+                    False,
+                    error="reply payload failed checksum",
+                    status=BlkStatus.MEDIUM,
+                    epoch=payload.epoch,
+                )
+            pending = self._pending.pop(payload.op_id, None)
+            if pending is not None:
+                pending.succeed(payload)
+        elif envelope.corrupted and isinstance(payload, OsdOp):
+            # Damaged request: refuse instead of executing garbage.
+            self.env.process(
+                self.reply_to(
+                    envelope.src,
+                    OsdReply(
                         payload.op_id,
                         False,
-                        error="reply payload failed checksum",
+                        error="request payload failed checksum",
                         status=BlkStatus.MEDIUM,
-                        epoch=payload.epoch,
-                    )
-                pending = self._pending.pop(payload.op_id, None)
-                if pending is not None:
-                    pending.succeed(payload)
-            elif envelope.corrupted and isinstance(payload, OsdOp):
-                # Damaged request: refuse instead of executing garbage.
-                self.env.process(
-                    self.reply_to(
-                        envelope.src,
-                        OsdReply(
-                            payload.op_id,
-                            False,
-                            error="request payload failed checksum",
-                            status=BlkStatus.MEDIUM,
-                        ),
                     ),
-                    name=f"{self.entity}:crc{payload.op_id}",
-                )
-            else:
-                proc = self.env.process(
-                    self.on_request(payload, envelope.src),
-                    name=f"{self.entity}:op{getattr(payload, 'op_id', '?')}",
-                )
-                if isinstance(payload, OsdOp):
-                    self._handlers[proc] = (payload.op_id, envelope.src)
-                    proc.callbacks.append(self._reap_handler)
+                ),
+                name=f"{self.entity}:crc{payload.op_id}",
+            )
+        else:
+            proc = self.env.process(
+                self._serve(payload, envelope.src),
+                name=f"{self.entity}:op{getattr(payload, 'op_id', '?')}",
+            )
+            if isinstance(payload, OsdOp):
+                self._handlers[proc] = (payload.op_id, envelope.src)
 
-    def _reap_handler(self, proc) -> None:
-        self._handlers.pop(proc, None)
-        # Preserve pre-tracking semantics: a handler that dies with a
-        # real error (not a crash interrupt) still crashes the sim.
-        if not proc.ok and not isinstance(proc.value, ProcessKilled):
-            raise proc.value
+    def _serve(self, op: OsdOp, src: str) -> Generator:
+        """Process: one request handler, untracked once it ends.
+
+        Nobody waits on it, so a handler that dies with a real error
+        (not a crash interrupt) still crashes the run when its failure
+        is dispatched.
+        """
+        proc = self.env.active_process
+        try:
+            yield from self.on_request(op, src)
+        finally:
+            self._handlers.pop(proc, None)
 
     def call(self, dst: str, op: OsdOp, timeout_ns: Optional[int] = None) -> Generator:
         """Process: send ``op`` and wait for its reply (returned).
@@ -352,30 +349,31 @@ class Messenger:
         a synthetic failed :class:`OsdReply` with a TIMEOUT status — the
         caller decides whether to retry against a newer map.  The pending
         entry is dropped on timeout, so a late reply is discarded rather
-        than misdelivered to a future waiter.
+        than misdelivered to a future waiter.  A reply that lands at the
+        deadline instant comes after the deadline (scheduled earlier),
+        so it is dropped too.
         """
         ev = self.env.event()
         self._pending[op.op_id] = ev
         if self.qos_tracker is not None and op.qos is not None:
             self.qos_tracker.stamp(op, dst)
         yield from self.fabric.send(self.entity, dst, op.wire_size(), op)
-        if timeout_ns is None:
-            reply = yield ev
-            self._account_qos(op, reply)
-            return reply
-        deadline = self.env.timeout(timeout_ns)
-        results = yield self.env.any_of([ev, deadline])
-        if ev in results:
-            reply = results[ev]
-            self._account_qos(op, reply)
-            return reply
-        self._pending.pop(op.op_id, None)
-        return OsdReply(
-            op.op_id,
-            False,
-            error=f"timeout after {timeout_ns} ns",
-            status=BlkStatus.TIMEOUT,
-        )
+        if timeout_ns is not None:
+            self.env.timeout(timeout_ns).callbacks.append(
+                lambda _deadline: self._expire(op.op_id, ev, timeout_ns)
+            )
+        reply = yield ev
+        self._account_qos(op, reply)
+        return reply
+
+    def _expire(self, op_id: int, ev: Event, timeout_ns: int) -> None:
+        """Deadline callback: answer a call still pending with TIMEOUT."""
+        if self._pending.get(op_id) is ev:
+            del self._pending[op_id]
+            ev.succeed(
+                OsdReply(op_id, False, error=f"timeout after {timeout_ns} ns",
+                         status=BlkStatus.TIMEOUT)
+            )
 
     def _account_qos(self, op: OsdOp, reply: OsdReply) -> None:
         """Feed dmClock phase feedback to the tracker (synthetic replies

@@ -303,8 +303,7 @@ class OsdDaemon(Messenger):
             # Peer sub-op: arbitrated at its primary's gate; serve from
             # the express lane so it never waits behind a primary that
             # is itself waiting on sub-ops (see _SUBOP_KINDS).
-            req = self.qos.sub_lane.request()
-            yield req
+            req = yield from self.qos.sub_lane.acquire()
             pool = self.qos.sub_lane
         else:
             if self.qos is not None:
@@ -313,8 +312,7 @@ class OsdDaemon(Messenger):
                 # op_threads ops are outstanding so the slot claim below
                 # never waits.
                 qos_phase = yield from self.qos.admit(op)
-            req = self.cpu.request()
-            yield req
+            req = yield from self.cpu.acquire()
             pool = self.cpu
         # Worker-pool wait vs. actual service, split explicitly so the
         # critical path can tell saturation from slow handlers.

@@ -108,7 +108,7 @@ class RBDImage:
                 payloads.append(data[pos : pos + chunk])
                 pos += chunk
             pre_encoded = self.client._codec(self.pool).encode_batch(payloads)
-        procs = []
+        legs = []
         pos = 0
         for ext_i, (idx, obj_off, chunk) in enumerate(extents):
             payload = data[pos : pos + chunk]
@@ -133,7 +133,7 @@ class RBDImage:
                     ctx=sub_ctx,
                     tenant=tenant,
                 )
-                procs.append(self.client.env.process(wrap_span(leg, gen), name="rbd-ec-wr"))
+                legs.append((leg, gen, "rbd-ec-wr"))
             else:
                 gen = self.client.write_replicated(
                     self.pool,
@@ -145,15 +145,14 @@ class RBDImage:
                     ctx=sub_ctx,
                     tenant=tenant,
                 )
-                procs.append(self.client.env.process(wrap_span(leg, gen), name="rbd-wr"))
-        yield self.client.env.all_of(procs)
+                legs.append((leg, gen, "rbd-wr"))
+        yield from self._fan_out(legs)
 
     def read(self, offset: int, length: int, ctx=NULL_SPAN, tenant: str = "") -> Generator:
         """Process: read ``length`` bytes at ``offset``; returns bytes."""
         extents = self._object_extents(offset, length)
         multi = len(extents) > 1
-        env = self.client.env
-        procs = []
+        legs = []
         for idx, obj_off, chunk in extents:
             name = self.object_name(idx)
             leg = ctx.child(f"obj{idx}", "fanout", object=idx) if multi else NULL_SPAN
@@ -166,11 +165,22 @@ class RBDImage:
                 gen = self.client.read_ec(
                     self.pool, name, chunk, direct=self.direct, ctx=sub_ctx, tenant=tenant
                 )
-                procs.append(env.process(wrap_span(leg, gen), name="rbd-ec-rd"))
+                legs.append((leg, gen, "rbd-ec-rd"))
             else:
                 gen = self.client.read_replicated(
                     self.pool, name, obj_off, chunk, ctx=sub_ctx, tenant=tenant
                 )
-                procs.append(env.process(wrap_span(leg, gen), name="rbd-rd"))
+                legs.append((leg, gen, "rbd-rd"))
+        return b"".join((yield from self._fan_out(legs)))
+
+    def _fan_out(self, legs: list) -> Generator:
+        """Process: run per-object ``(span, generator, name)`` legs in
+        parallel; returns their results in order.  A single leg (its
+        span is the null span) runs inline, with no process to spawn
+        and wait on."""
+        if len(legs) == 1:
+            return [(yield from legs[0][1])]
+        env = self.client.env
+        procs = [env.process(wrap_span(leg, gen), name=name) for leg, gen, name in legs]
         results = yield env.all_of(procs)
-        return b"".join(results[p] for p in procs)
+        return [results[p] for p in procs]

@@ -559,8 +559,7 @@ class _Agent:
 
     def _windowed(self, gen) -> Generator:
         """Run one object move under the agent's in-flight window."""
-        req = self._window.request()
-        yield req
+        req = yield from self._window.acquire()
         try:
             result = yield from gen
         finally:

@@ -170,9 +170,8 @@ class StorageDevice:
         was issued.  Entries queued while the flush is in flight stay
         volatile, matching real cache-flush semantics.
         """
-        req = self._flush_lock.request()
+        req = yield from self._flush_lock.acquire()
         try:
-            yield req
             batch = len(self._volatile)
             yield from self._channels.using(self._jitter(self.profile.flush_ns))
             for entry in self._volatile[:batch]:
@@ -181,10 +180,7 @@ class StorageDevice:
             self.flushes += 1
             self.flushed_entries += batch
         finally:
-            # An interrupt while still queued already withdrew the claim;
-            # one that lands at the grant instant leaves it to release.
-            if req.triggered:
-                self._flush_lock.release(req)
+            self._flush_lock.release(req)
 
     def drop_volatile(self) -> list:
         """Power loss: return and clear the un-flushed cache entries."""

@@ -147,6 +147,9 @@ class Process(Event):
 
     The process event itself triggers when the generator returns (value =
     its return value) or raises (the exception propagates to waiters).
+    A return that nobody waits on schedules no event: the process is
+    processed at once.  A failure always schedules, so an unobserved
+    error still surfaces when it is dispatched.
     """
 
     __slots__ = ("_generator", "_target", "name")
@@ -203,7 +206,15 @@ class Process(Event):
                 target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active = None
-            self.succeed(stop.value)
+            if self.callbacks:
+                self.succeed(stop.value)
+            else:
+                # Nobody waits on this process: it is done now, and a
+                # later waiter resumes at once, as on any fired event.
+                self._ok = True
+                self._value = stop.value
+                self._triggered = self._processed = True
+                self.callbacks = None
             return
         except ProcessKilled as exc:
             env._active = None

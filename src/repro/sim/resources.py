@@ -2,14 +2,18 @@
 
 :class:`Resource` models a server with fixed capacity and a FIFO (or
 priority) wait queue — used for CPU cores, device channels, PCIe credits,
-and the like.  Requests are events; a process does::
+and the like.  A process does::
 
-    req = resource.request()
-    yield req
-    ...   # holding one slot
-    resource.release(req)
+    req = yield from resource.acquire()
+    try:
+        ...   # holding one slot
+    finally:
+        resource.release(req)
 
-or, with automatic release, ``yield from resource.using(duration)``.
+or, with automatic release, ``yield from resource.using(duration)``.  A
+free slot is granted at once, with no event; only a claim that has to
+wait is queued and resumed by an event.  ``request()`` is the evented
+form: its event fires once the slot is granted, even a free one.
 """
 
 from __future__ import annotations
@@ -38,9 +42,15 @@ class Request(Event):
 
     def _cancel_on_interrupt(self) -> None:
         """Withdraw this claim when the waiting process is interrupted
-        (hook called by :meth:`Process.interrupt`)."""
-        if not self.triggered:
+        (hook called by :meth:`Process.interrupt`).
+
+        A claim granted at this instant, whose process has not resumed
+        yet, already holds its slot: release it, or nobody ever will.
+        """
+        if not self._triggered:
             self.resource.cancel(self)
+        elif not self._processed and self in self.resource._users:
+            self.resource.release(self)
 
 
 class Resource:
@@ -79,6 +89,31 @@ class Resource:
             heapq.heappush(self._waiting, req)
         return req
 
+    def acquire(self, priority: int = 0) -> Generator[Event, Any, Request]:
+        """Process: claim one slot and return the granted request.
+
+        A free slot is taken with no event; otherwise the claim queues
+        and this waits for its grant.  An interrupt while queued
+        withdraws the claim.
+        """
+        req = self._claim(priority)
+        if not req._processed:
+            yield req
+        return req
+
+    def _claim(self, priority: int) -> Request:
+        """A claim granted at once (already processed, no event) when a
+        slot is free and nobody waits, else one queued for its grant."""
+        if len(self._users) >= self.capacity or self._waiting:
+            return self.request(priority)
+        req = Request(self, priority)
+        self._users.add(req)
+        req._ok = True
+        req._value = req
+        req._triggered = req._processed = True
+        req.callbacks = None
+        return req
+
     def release(self, request: Request) -> None:
         """Return a previously granted slot and wake the next waiter."""
         if request not in self._users:
@@ -106,8 +141,9 @@ class Resource:
 
     def using(self, duration: int, priority: int = 0) -> Generator[Event, Any, None]:
         """Hold one slot for ``duration`` ns (acquire, wait, release)."""
-        req = self.request(priority)
-        yield req
+        req = self._claim(priority)
+        if not req._processed:
+            yield req
         try:
             yield self.env.timeout(duration)
         finally:

@@ -114,18 +114,13 @@ def test_fabric_fifo_per_sender(sizes):
     fabric.register("src", "a", KERNEL_TCP)
     fabric.register("dst", "b", KERNEL_TCP)
     received = []
+    fabric.attach("dst", lambda envelope: received.append(envelope.payload))
 
     def sender(env):
         for i, size in enumerate(sizes):
             yield from fabric.send("src", "dst", size, payload=i)
 
-    def receiver(env):
-        for _ in sizes:
-            envelope = yield fabric.recv("dst")
-            received.append(envelope.payload)
-
     env.process(sender(env))
-    env.process(receiver(env))
     env.run()
     assert received == list(range(len(sizes)))
 

@@ -177,3 +177,60 @@ def test_interrupted_waiter_does_not_leak_slot():
     assert ("victim-killed", 50) in order
     assert ("survivor", 110) in order  # got the slot right after the holder
     assert res.count == 0 and res.queue_len == 0
+
+
+@pytest.mark.parametrize("claim", ["request", "acquire"])
+def test_interrupt_at_the_grant_instant_releases_the_slot(claim):
+    """A waiter granted at t=10 and killed at t=10, before it resumes,
+    gives its slot back: a later user still gets it."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def user(env):
+        if claim == "request":
+            req = res.request()
+            yield req
+        else:
+            req = yield from res.acquire()
+        try:
+            yield env.timeout(10)
+        finally:
+            res.release(req)
+        return env.now
+
+    env.process(user(env))
+    second = env.process(user(env))
+
+    def killer(env):
+        yield env.timeout(5)
+        yield env.timeout(5)  # scheduled after the first user's release at t=10
+        assert second._target.triggered and not second._target.processed
+        second.interrupt("killed at its grant")
+
+    def late(env):
+        yield env.timeout(20)
+        return (yield env.process(user(env)))
+
+    env.process(killer(env))
+    third = env.process(late(env))
+    env.run()
+    assert res.count == 0 and res.queue_len == 0
+    assert third.value == 30
+
+
+def test_acquire_takes_a_free_slot_without_an_event():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    got = []
+
+    def user(env):
+        before = env._seq
+        req = yield from res.acquire()
+        got.append((env._seq - before, res.count))
+        res.release(req)
+
+    env.process(user(env))
+    env.run()
+    assert got == [(0, 1)]
+    assert res.count == 0
+

@@ -1,0 +1,105 @@
+#!/usr/bin/env python
+"""Check the smoke outputs against their recorded digests.
+
+Each row is one ``python -m repro`` command.  It runs in a fresh
+temporary directory (so report paths in its output are relative), must
+exit 0, and is hashed over its stdout plus every file it writes there.
+The hashes are compared with ``tests/golden/smokes.sha256``, which pins
+these outputs byte for byte across changes that claim to move no
+simulated event.
+
+Run:  python tools/smoke_digests.py             (exit 1 on any mismatch)
+      python tools/smoke_digests.py --update    (re-record the digests)
+      python tools/smoke_digests.py qos-smoke   (only the named rows)
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "smokes.sha256"
+
+#: (row name, ``python -m repro`` arguments, files the command writes).
+ROWS = (
+    ("chaos-smoke", ["chaos", "--smoke"], ()),
+    ("chaos-power-loss", ["chaos", "--power-loss"], ()),
+    ("chaos-seed0", ["chaos", "--seed", "0"], ()),
+    ("crashsim-smoke", ["crashsim", "--smoke", "--report", "crashsim-report.json"],
+     ("crashsim-report.json",)),
+    ("recover-smoke", ["recover", "--smoke"], ()),
+    ("qos-smoke", ["qos", "--smoke"], ()),
+    ("cache-smoke", ["cache", "--smoke"], ()),
+    ("health-smoke", ["health", "--smoke", "--report", "health-report.json"],
+     ("health-report.json",)),
+    ("experiment-table2", ["experiment", "table2"], ()),
+    ("experiment-fig7", ["experiment", "fig7"], ()),
+    ("trace-export", ["trace", "--export", "trace.json"], ("trace.json",)),
+    ("profile-smoke", ["profile", "--smoke", "--export", "profile-trace.json",
+                       "--flamegraph", "profile.folded"],
+     ("profile-trace.json", "profile.folded")),
+)
+
+
+def run_row(args: list, files: tuple) -> tuple[int, str, str]:
+    """Run one row; return (exit code, digest, stderr tail)."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            cwd=tmp, env=env, capture_output=True,
+        )
+        digest = hashlib.sha256(proc.stdout)
+        for name in files:
+            path = pathlib.Path(tmp) / name
+            digest.update(b"\0" + name.encode() + b"\0")
+            digest.update(path.read_bytes() if path.exists() else b"<missing>")
+    return proc.returncode, digest.hexdigest(), proc.stderr.decode(errors="replace")[-2000:]
+
+
+def load(path: pathlib.Path) -> dict:
+    if not path.exists():
+        return {}
+    rows = (line.split() for line in path.read_text().splitlines() if line.strip())
+    return {name: digest for digest, name in rows}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rows", nargs="*", help="row names (default: all)")
+    parser.add_argument("--update", action="store_true", help="re-record the digests")
+    args = parser.parse_args(argv)
+    unknown = set(args.rows) - {name for name, _, _ in ROWS}
+    if unknown:
+        parser.error(f"unknown rows: {', '.join(sorted(unknown))}")
+    recorded = load(GOLDEN)
+    failed = 0
+    for name, cmd, files in ROWS:
+        if args.rows and name not in args.rows:
+            continue
+        rc, digest, stderr = run_row(cmd, files)
+        if rc != 0:
+            print(f"FAIL {name}: `python -m repro {' '.join(cmd)}` exited {rc}\n{stderr}")
+            failed += 1
+            continue
+        if args.update:
+            recorded[name] = digest
+            print(f"recorded {name} {digest[:16]}")
+        elif recorded.get(name) == digest:
+            print(f"ok   {name} {digest[:16]}")
+        else:
+            print(f"FAIL {name}: {digest[:16]} != recorded {recorded.get(name, '<none>')[:16]}")
+            failed += 1
+    if args.update:
+        GOLDEN.write_text("".join(f"{recorded[n]}  {n}\n" for n, _, _ in ROWS if n in recorded))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
