@@ -1,21 +1,18 @@
-"""Client block cache: hit-ratio/mode sweep and CI invariant smoke.
+"""Client block cache: hit-ratio/mode sweep.
 
 Not a paper figure — validates the Open-CAS-style cache tier added in
 front of the RBD image.  As a pytest benchmark it runs the full mode
 sweep and asserts the qualitative shape (write-back beats write-through
-on a skewed mix, the hit-ratio curve never dips as capacity grows).  As
-a script, ``--smoke`` runs the seeded invariant battery the ``cache-smoke``
-CI job gates on, including the pass-through identity check.
+on a skewed mix, the hit-ratio curve never dips as capacity grows).  The
+seeded invariant battery, including the pass-through identity check, is
+``python -m repro smoke cache``.
 
 Usage::
 
-    python benchmarks/bench_cache.py --smoke
     PYTHONPATH=src python -m pytest benchmarks/bench_cache.py
 """
 
 from __future__ import annotations
-
-import argparse
 
 
 def test_cache_mode_sweep(benchmark, report):
@@ -35,23 +32,3 @@ def test_cache_mode_sweep(benchmark, report):
     # A warm write-back cache actually flushed dirty data in the background.
     assert int(rows["cache-wb"][5]) > 0
 
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="run the seeded cache-invariant battery (CI gate)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--nrequests", type=int, default=200)
-    args = parser.parse_args(argv)
-    from repro.bench.cachebench import cache_smoke, exp_cache
-
-    if args.smoke:
-        code, report = cache_smoke(seed=args.seed, nreq=args.nrequests)
-        print(report)
-        return code
-    print(exp_cache(seed=args.seed).render())
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

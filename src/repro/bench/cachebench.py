@@ -30,6 +30,7 @@ from ..deliba import FRAMEWORKS, PoolSpec, build_framework
 from ..units import kib, mib
 from ..workloads import ZipfJob
 from .experiments import ExperimentResult
+from .tables import smoke_verdict
 
 #: Framework the cache rides on in these benches (the paper's fastest).
 CACHE_FRAMEWORK = "delibak"
@@ -177,9 +178,4 @@ def cache_smoke(seed: int = 0, nreq: int = 200) -> tuple[int, str]:
             f"write-through ({wt.mean_latency_us():.1f} us) on skewed writes"
         )
 
-    report = "\n".join(lines)
-    if problems:
-        report += "\nSMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, report
-    report += "\nSMOKE PASS: all cache invariants hold"
-    return 0, report
+    return smoke_verdict("\n".join(lines), problems, "all cache invariants hold")

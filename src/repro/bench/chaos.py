@@ -23,6 +23,7 @@ from ..osd import ClusterSpec, DurabilityConfig, FaultInjector, OpPolicy, OsdCon
 from ..units import kib, mib, ms, us
 from ..workloads import FioJob
 from .experiments import ExperimentResult
+from .tables import smoke_verdict
 
 #: Cluster shape: three server hosts so a size-3 pool keeps one replica
 #: per host and losing one OSD still leaves two copies.
@@ -308,15 +309,11 @@ def chaos_smoke(seed: int = 0, nrequests: int = 80) -> tuple[int, str]:
         problems.append(
             f"nondeterministic: digests {first.digest} != {second.digest}"
         )
-    report = _result_table([first]).render()
-    if problems:
-        report += "\nSMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, report
-    report += (
-        f"\nSMOKE PASS: {first.ios} I/Os, 0 errors, {first.retries} retries, "
-        f"{first.failovers} failovers, deterministic (digest {first.digest})"
+    return smoke_verdict(
+        _result_table([first]).render(), problems,
+        f"{first.ios} I/Os, 0 errors, {first.retries} retries, "
+        f"{first.failovers} failovers, deterministic (digest {first.digest})",
     )
-    return 0, report
 
 
 def power_loss_smoke(seed: int = 0, nrequests: int = 80) -> tuple[int, str]:
@@ -341,14 +338,10 @@ def power_loss_smoke(seed: int = 0, nrequests: int = 80) -> tuple[int, str]:
         problems.append(
             f"nondeterministic: digests {first.digest} != {second.digest}"
         )
-    report = _result_table([first]).render()
-    if problems:
-        report += "\nSMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, report
-    report += (
-        f"\nSMOKE PASS: {first.ios} I/Os survived a {POWER_OUTAGE_NS // 1000} us "
+    return smoke_verdict(
+        _result_table([first]).render(), problems,
+        f"{first.ios} I/Os survived a {POWER_OUTAGE_NS // 1000} us "
         f"power outage with 0 errors, {first.power_loss_retries} AGAIN-bounced "
         f"ops retried, {first.wal_replays} WAL replay, deterministic "
-        f"(digest {first.digest})"
+        f"(digest {first.digest})",
     )
-    return 0, report

@@ -4,7 +4,7 @@ The perf work on the hot paths (placement caching, batched uring
 submit/reap, vectorized EC, sim-core tightening) is only shippable if it
 changes **no simulated event**: every latency sample, retry count, and
 table cell must come out byte-identical.  This module pins that down
-with digests of four canonical runs:
+with digests of five canonical runs:
 
 * ``fig6`` — the replication-mode hardware throughput grid (the paper's
   headline figure): digests the raw experiment rows across three

@@ -30,20 +30,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from ..deliba import PoolSpec, build_framework, framework_by_name
 from ..obs.export import to_prometheus
 from ..obs.health import HealthConfig, HealthReport
-from ..obs.profile import (
-    _CHAOS_CORRUPT_P,
-    _CHAOS_DROP_P,
-    _CHAOS_DUP_P,
-    PROFILE_SCENARIOS,
-    ProfileScenario,
-)
-from ..obs.sampler import DEFAULT_INTERVAL_NS, ResourceSampler, install_framework_probes
+from ..obs.profile import PROFILE_SCENARIOS, ProfileScenario, drive_scenario
+from ..obs.sampler import DEFAULT_INTERVAL_NS
 from ..obs.slowop import SlowOpConfig
-from ..units import kib, mib, ms
-from ..workloads.fio import FioJob
+from ..units import kib, ms
+from .tables import smoke_verdict
 
 #: Default absolute latency budgets for chaos runs: short workloads
 #: split across op classes may never reach the adaptive threshold's
@@ -118,49 +111,12 @@ def run_health(
     layer — the neutrality half of the smoke comparison.
     """
     scn = PROFILE_SCENARIOS[scenario] if isinstance(scenario, str) else scenario
-    cfg = framework_by_name(framework)
     if health_config is None and scn.chaos:
         health_config = HealthConfig(slowop=SlowOpConfig(budget_ns=dict(_CHAOS_BUDGET_NS)))
-    if scn.chaos:
-        from ..osd import FaultInjector
-
-        from .chaos import _chaos_cluster_spec
-
-        cluster_spec = _chaos_cluster_spec(seed, cfg.client_stack)
-        pool_spec = PoolSpec(kind="replicated", size=3)
-    else:
-        cluster_spec = None
-        pool_spec = PoolSpec(kind=scn.pool)
-    object_size = bs if pool_spec.kind == "erasure" else None
-    fw = build_framework(
-        cfg,
-        pool_spec=pool_spec,
-        cluster_spec=cluster_spec,
-        object_size=object_size,
-        seed=seed,
-        obs=True,
-        metrics=True,
+    fw, result, sampler = drive_scenario(
+        scn, "health", framework, bs, iodepth, nrequests, seed, interval_ns,
         health=(health_config or True) if attach_health else None,
     )
-    if scn.chaos:
-        FaultInjector(fw.cluster).set_message_faults(
-            drop_p=_CHAOS_DROP_P, duplicate_p=_CHAOS_DUP_P, corrupt_p=_CHAOS_CORRUPT_P
-        )
-    job_kwargs = {"size": mib(32)} if scn.chaos else {}
-    job = FioJob(
-        f"health.{scn.name}", scn.rw, bs=bs, iodepth=iodepth, nrequests=nrequests, **job_kwargs
-    )
-    sampler = ResourceSampler(fw.env, fw.metrics, interval_ns)
-    install_framework_probes(sampler, fw)
-    if fw.health is not None:
-        # Periodic cluster evaluation on the existing sampling grid:
-        # the poll is a plain gauge probe, never a simulation event.
-        sampler.add_gauge("health.status", fw.health.poll)
-    proc = fw.env.process(fw.run_fio(job), name=f"health.{scn.name}")
-    sampler.drive()
-    if not proc.ok:
-        raise proc.value
-    result = proc.value
 
     health_report = (
         fw.health.report(fw.env.now)
@@ -169,7 +125,7 @@ def run_health(
     )
     return HealthRunReport(
         scenario=scn.name,
-        framework=cfg.name,
+        framework=fw.config.name,
         rw=scn.rw,
         bs=bs,
         iodepth=iodepth,
@@ -189,8 +145,12 @@ SMOKE_CLEAN = "randwrite"
 SMOKE_CHAOS = "chaos"
 
 
-def health_smoke(seed: int = 0, nrequests: int = 40) -> tuple[int, str, HealthRunReport]:
-    """Seeded CI smoke; returns ``(exit_code, text, chaos_report)``."""
+def health_smoke(seed: int = 0, nrequests: int = 40, report_path: str = "") -> tuple[int, str]:
+    """Seeded CI smoke; returns ``(exit_code, text)``.
+
+    ``report_path`` additionally writes the chaos run's JSON health
+    report, span trees included, and names it in the text's last line.
+    """
     problems: list[str] = []
     rows: list[str] = []
 
@@ -226,12 +186,14 @@ def health_smoke(seed: int = 0, nrequests: int = 40) -> tuple[int, str, HealthRu
         f"slow-ops {len(chaos.health.slow_ops)}  digest {chaos.digest()[:12]}"
     )
 
-    text = "\n".join(rows)
-    if problems:
-        text += "\nHEALTH SMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, text, chaos
-    text += (
-        f"\nHEALTH SMOKE PASS: clean neutral + HEALTH_OK, chaos flagged "
-        f"{len(chaos.health.slow_ops)} slow op(s) with exact root causes"
+    code, text = smoke_verdict(
+        "\n".join(rows), problems,
+        f"clean neutral + HEALTH_OK, chaos flagged "
+        f"{len(chaos.health.slow_ops)} slow op(s) with exact root causes",
+        label="HEALTH SMOKE",
     )
-    return 0, text, chaos
+    if report_path:
+        with open(report_path, "w") as fh:
+            fh.write(chaos.to_json(include_trees=True))
+        text += f"\n[health report written to {report_path}]"
+    return code, text

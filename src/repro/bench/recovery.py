@@ -32,6 +32,7 @@ from ..osd import (
 from ..sim import Environment, MetricsRegistry
 from ..units import ms, us
 from .experiments import ExperimentResult
+from .tables import smoke_verdict
 
 #: Testbed: two server hosts x four OSDs (small enough for CI, large
 #: enough that one OSD's loss remaps a good fraction of the PGs).
@@ -130,14 +131,16 @@ def _build(
     return env, metrics, cluster, pool, manager
 
 
-def _write(client, pool, name, data):
+def write_object(client, pool, name, data):
+    """Process: direct whole-object write, replicated or EC by ``pool``'s type."""
     if pool.pool_type.value == "replicated":
         yield from client.write_replicated(pool, name, data, direct=True)
     else:
         yield from client.write_ec(pool, name, data, direct=True)
 
 
-def _read(client, pool, name, length):
+def read_object(client, pool, name, length):
+    """Process: read ``length`` bytes of object ``name`` from offset 0."""
     if pool.pool_type.value == "replicated":
         data = yield from client.read_replicated(pool, name, 0, length)
     else:
@@ -156,9 +159,9 @@ def _client_load(env, client, pool, payload, stats, stop):
         name = names[i % len(names)]
         try:
             if i % 3 == 2:
-                yield from _write(client, pool, name, payload[name])
+                yield from write_object(client, pool, name, payload[name])
             else:
-                got = yield from _read(client, pool, name, len(payload[name]))
+                got = yield from read_object(client, pool, name, len(payload[name]))
                 if got != payload[name]:
                     stats["mismatches"] += 1
             stats["ios"] += 1
@@ -187,7 +190,7 @@ def run_recovery_scenario(
 
     def main():
         for name, data in payload.items():
-            yield from _write(client, pool, name, data)
+            yield from write_object(client, pool, name, data)
         env.process(
             _client_load(env, client, pool, payload, load_stats, stop),
             name="recovery.load",
@@ -215,7 +218,7 @@ def run_recovery_scenario(
         # Verify through a second client: every byte identical.
         mismatches = 0
         for name, data in payload.items():
-            got = yield from _read(verifier, pool, name, len(data))
+            got = yield from read_object(verifier, pool, name, len(data))
             if got != data:
                 mismatches += 1
         out["read_mismatches"] = mismatches
@@ -330,13 +333,9 @@ def recover_smoke(seed: int = 0, nobjects: int = 12) -> tuple[int, str]:
         problems.append(
             f"nondeterministic: digests {stats[0].digest} != {rerun.digest}"
         )
-    report = _result_table(stats).render()
-    if problems:
-        report += "\nSMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, report
-    report += (
-        f"\nSMOKE PASS: {sum(s.client_ios for s in stats)} client IOs under "
+    return smoke_verdict(
+        _result_table(stats).render(), problems,
+        f"{sum(s.client_ios for s in stats)} client IOs under "
         f"recovery, 0 hard-failures, scrub clean, deterministic "
-        f"(digest {stats[0].digest})"
+        f"(digest {stats[0].digest})",
     )
-    return 0, report

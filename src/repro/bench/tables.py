@@ -29,6 +29,16 @@ def _fmt(cell: Any) -> str:
     return str(cell)
 
 
+def smoke_verdict(
+    text: str, problems: Sequence[str], passed: str, label: str = "SMOKE"
+) -> tuple[int, str]:
+    """Close a smoke report: ``(1, text + FAIL list)`` when any check
+    failed, else ``(0, text + PASS line)``."""
+    if problems:
+        return 1, f"{text}\n{label} FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
+    return 0, f"{text}\n{label} PASS: {passed}"
+
+
 def ratio_note(measured: float, reference: float) -> str:
     """'measured (paper ref, xx% off)' summary cell."""
     if reference == 0:

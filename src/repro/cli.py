@@ -6,16 +6,20 @@ Usage (after install)::
     python -m repro fio --framework delibak --rw randread --bs 4096 --iodepth 4
     python -m repro experiment table2
     python -m repro trace --framework delibak --rw randwrite
+    python -m repro smoke chaos
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Optional, Sequence
 
-from .bench import breakdown, cachebench, experiments, qosbench
+from .bench import breakdown, cachebench, chaos, crashsim, experiments, healthbench
+from .bench import qosbench, recovery
 from .deliba import FRAMEWORKS, PoolSpec, build_framework, framework_by_name
+from .obs import profile
 from .units import kib
 from .workloads import FioJob
 
@@ -36,6 +40,22 @@ EXPERIMENTS = {
     "qos": qosbench.exp_qos,
     "realworld": experiments.exp_realworld,
     "headline": experiments.exp_headline,
+}
+
+#: Smoke name -> ``fn(seed=...) -> (exit_code, report)``.  Each is a
+#: seeded CI gate that reruns itself for determinism; the artifact
+#: names are bound here, so library and test calls write no file.
+SMOKES = {
+    "cache": cachebench.cache_smoke,
+    "chaos": chaos.chaos_smoke,
+    "crashsim": partial(crashsim.crashsim_smoke, report_path="crashsim-report.json"),
+    "health": partial(healthbench.health_smoke, report_path="health-report.json"),
+    "power-loss": chaos.power_loss_smoke,
+    "profile": partial(
+        profile.profile_smoke, export_path="profile-trace.json", flame_path="profile.folded"
+    ),
+    "qos": qosbench.qos_smoke,
+    "recover": recovery.recover_smoke,
 }
 
 
@@ -75,57 +95,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--pool", default="replicated", choices=["replicated", "erasure"])
     sweep.add_argument("--csv", help="also write the grid to this CSV path")
 
-    cache = sub.add_parser("cache", help="client block cache: mode sweep and invariants")
-    cache.add_argument("--smoke", action="store_true",
-                       help="seeded invariant run; exit nonzero if pass-through is not "
-                            "event-identical, the hit-ratio curve dips, skew does not "
-                            "help, or write-back loses to write-through on hot writes")
+    smoke = sub.add_parser("smoke", help="run one seeded CI gate; exit nonzero if a check fails")
+    smoke.add_argument("name", choices=sorted(SMOKES))
+    smoke.add_argument("--seed", type=int, default=0)
+
+    cache = sub.add_parser("cache", help="client block cache: mode sweep and hit-ratio curve")
     cache.add_argument("--seed", type=int, default=0)
     cache.add_argument("--nrequests", type=int, default=300)
 
-    chaos = sub.add_parser("chaos", help="fault-tolerance datapath under chaos injection")
-    chaos.add_argument("--smoke", action="store_true",
-                       help="small seeded crash run; exit nonzero if any I/O error "
-                            "surfaces, no retry/failover fires, or runs diverge")
-    chaos.add_argument("--power-loss", action="store_true",
-                       help="seeded power-loss scenario: cut a primary's power "
-                            "mid-run, WAL-replay it back in; exit nonzero on any "
-                            "client error, missing replay, or run divergence")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--nrequests", type=int, default=300)
+    chaos_p = sub.add_parser("chaos", help="fault-tolerance datapath under chaos injection")
+    chaos_p.add_argument("--seed", type=int, default=0)
 
     csim = sub.add_parser(
         "crashsim", help="crash-point explorer: durability invariants across power cuts"
     )
-    csim.add_argument("--smoke", action="store_true",
-                      help="bounded matrix (replicated + EC); exit nonzero on any "
-                           "durability violation, unexercised replay path, or "
-                           "digest divergence between two same-seed runs")
     csim.add_argument("--seed", type=int, default=0)
-    csim.add_argument("--points", type=int, default=0,
-                      help="max crash points per pool kind (0 = default for mode)")
+    csim.add_argument("--points", type=int, default=16, help="max crash points per pool kind")
     csim.add_argument("--pool", default="both", choices=["replicated", "ec", "both"])
-    csim.add_argument("--report", metavar="PATH",
-                      help="also write a JSON violation report (CI artifact)")
 
     qos = sub.add_parser("qos", help="multi-tenant QoS: mClock fairness on shared OSD pools")
-    qos.add_argument("--smoke", action="store_true",
-                     help="seeded 3-tenant fairness battery vs FIFO baseline; exit "
-                          "nonzero if the reservation floor, limit ceiling, 3:1 weight "
-                          "split, work conservation, or run determinism fails")
     qos.add_argument("--seed", type=int, default=0)
     qos.add_argument("--tenants", type=int, default=16,
                      help="tenant count for the mixed-profile sweep (min 16)")
-    qos.add_argument("--report", metavar="PATH",
-                     help="also write the report to this file (CI artifact)")
 
     recov = sub.add_parser("recover", help="online self-healing: kill/revive under client IO")
-    recov.add_argument("--smoke", action="store_true",
-                       help="seeded kill+revive run (replicated and EC); exit nonzero on "
-                            "any client hard-failure, read mismatch, dirty scrub, or "
-                            "run divergence")
     recov.add_argument("--seed", type=int, default=0)
-    recov.add_argument("--nobjects", type=int, default=24)
 
     gold = sub.add_parser("golden", help="check canonical runs against recorded digests")
     gold.add_argument("--update", action="store_true",
@@ -136,21 +130,16 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--framework", default="delibak", choices=sorted(FRAMEWORKS))
     replay.add_argument("--iodepth", type=int, default=4)
 
-    from .obs.profile import PROFILE_SCENARIOS
-
     prof = sub.add_parser(
         "profile", help="causal tracing: critical-path attribution + resource telemetry"
     )
     prof.add_argument("scenario", nargs="?", default="randwrite",
-                      choices=sorted(PROFILE_SCENARIOS))
+                      choices=sorted(profile.PROFILE_SCENARIOS))
     prof.add_argument("--framework", default="delibak", choices=sorted(FRAMEWORKS))
     prof.add_argument("--bs", type=int, default=kib(4))
     prof.add_argument("--iodepth", type=int, default=4)
     prof.add_argument("--nrequests", type=int, default=60)
     prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument("--smoke", action="store_true",
-                      help="run the CI scenario grid; exit nonzero if any trace is "
-                           "incomplete, inexact, schema-invalid, or nondeterministic")
     prof.add_argument("--export", metavar="PATH",
                       help="write span lanes + counter tracks as Perfetto JSON")
     prof.add_argument("--flamegraph", metavar="PATH",
@@ -164,18 +153,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "health", help="always-on cluster health: slow ops, SLO burn, root causes"
     )
     health.add_argument("scenario", nargs="?", default="randwrite",
-                        choices=sorted(PROFILE_SCENARIOS))
+                        choices=sorted(profile.PROFILE_SCENARIOS))
     health.add_argument("--framework", default="delibak", choices=sorted(FRAMEWORKS))
     health.add_argument("--bs", type=int, default=kib(4))
     health.add_argument("--iodepth", type=int, default=4)
     health.add_argument("--nrequests", type=int, default=60)
     health.add_argument("--seed", type=int, default=0)
-    health.add_argument("--smoke", action="store_true",
-                        help="CI gate: clean run must stay HEALTH_OK and event-neutral, "
-                             "chaos must flag slow ops with exact root causes, report "
-                             "must be deterministic across same-seed runs")
     health.add_argument("--report", metavar="PATH",
-                        help="write the deterministic JSON health report (CI artifact)")
+                        help="write the deterministic JSON health report")
     health.add_argument("--prom", metavar="PATH",
                         help="write the metrics registry as Prometheus text exposition")
 
@@ -249,74 +234,35 @@ def _cmd_experiment(name: str) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from .bench.chaos import chaos_smoke, chaos_table, power_loss_smoke
+def _cmd_smoke(args) -> int:
+    code, report = SMOKES[args.name](seed=args.seed)
+    print(report)
+    return code
 
-    if args.power_loss:
-        code, report = power_loss_smoke(seed=args.seed, nrequests=min(args.nrequests, 80))
-        print(report)
-        return code
-    if args.smoke:
-        code, report = chaos_smoke(seed=args.seed, nrequests=min(args.nrequests, 80))
-        print(report)
-        return code
-    code, result = chaos_table(seed=args.seed)
+
+def _cmd_chaos(args) -> int:
+    code, result = chaos.chaos_table(seed=args.seed)
     print(result.render())
     return code
 
 
 def _cmd_crashsim(args) -> int:
-    from .bench.crashsim import crashsim_smoke, exp_crashsim
-
-    if args.smoke:
-        code, report = crashsim_smoke(
-            seed=args.seed,
-            max_points=args.points or 6,
-            pool=args.pool,
-            report_path=args.report or "",
-        )
-        print(report)
-        if args.report:
-            print(f"[report written to {args.report}]")
-        return code
-    print(exp_crashsim(seed=args.seed, max_points=args.points, pool=args.pool).render())
+    print(crashsim.exp_crashsim(seed=args.seed, max_points=args.points, pool=args.pool).render())
     return 0
 
 
 def _cmd_cache(args) -> int:
-    from .bench.cachebench import cache_smoke, exp_cache
-
-    if args.smoke:
-        code, report = cache_smoke(seed=args.seed, nreq=min(args.nrequests, 200))
-        print(report)
-        return code
-    print(exp_cache(seed=args.seed, nreq=args.nrequests).render())
+    print(cachebench.exp_cache(seed=args.seed, nreq=args.nrequests).render())
     return 0
 
 
 def _cmd_qos(args) -> int:
-    from .bench.qosbench import exp_qos, qos_smoke
-
-    if args.smoke:
-        code, report = qos_smoke(seed=args.seed)
-    else:
-        code, report = 0, exp_qos(seed=args.seed, ntenants=args.tenants).render()
-    print(report)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report + "\n")
-        print(f"[report written to {args.report}]")
-    return code
+    print(qosbench.exp_qos(seed=args.seed, ntenants=args.tenants).render())
+    return 0
 
 
 def _cmd_recover(args) -> int:
-    from .bench.recovery import exp_recovery, recover_smoke
-
-    if args.smoke:
-        code, report = recover_smoke(seed=args.seed, nobjects=min(args.nobjects, 12))
-        print(report)
-        return code
-    print(exp_recovery(seed=args.seed).render())
+    print(recovery.exp_recovery(seed=args.seed).render())
     return 0
 
 
@@ -370,18 +316,7 @@ def _cmd_replay(args) -> int:
 def _cmd_health(args) -> int:
     import pathlib
 
-    from .bench.healthbench import health_smoke, run_health
-
-    if args.smoke:
-        code, text, chaos = health_smoke(seed=args.seed)
-        print(text)
-        if args.report:
-            path = pathlib.Path(args.report)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(chaos.to_json(include_trees=True))
-            print(f"[health report written to {path}]")
-        return code
-    report = run_health(
+    report = healthbench.run_health(
         args.scenario,
         framework=args.framework,
         bs=args.bs,
@@ -404,15 +339,7 @@ def _cmd_health(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .obs.profile import profile_smoke, run_profile
-
-    if args.smoke:
-        code, report = profile_smoke(
-            export_path=args.export, flame_path=args.flamegraph, seed=args.seed
-        )
-        print(report)
-        return code
-    report = run_profile(
+    report = profile.run_profile(
         args.scenario,
         framework=args.framework,
         bs=args.bs,
@@ -463,6 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_fio(args)
     if args.command == "experiment":
         return _cmd_experiment(args.name)
+    if args.command == "smoke":
+        return _cmd_smoke(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "chaos":

@@ -159,7 +159,7 @@ _REQUIRED_SPAN_KEYS = ("name", "cat", "ph", "ts", "dur", "pid", "tid", "args")
 
 
 def validate_trace_document(doc: dict) -> list[str]:
-    """Schema check for exported documents (used by the CI smoke job).
+    """Schema check for exported documents (used by the profile smoke).
 
     Returns a list of problems; empty means the document is well-formed:
     every span event complete and non-negative, every referenced lane

@@ -1,17 +1,18 @@
 """End-to-end profiling runs: causal traces -> attribution report.
 
 ``run_profile`` builds a framework with the causal tracer and metrics
-enabled, drives one workload scenario under the resource sampler, then
-turns the resulting span forest into the full observability deliverable:
-exact critical-path attribution per stage and resource kind, streaming
-latency digests, straggler-slack accounting, continuous telemetry
-summaries, and Perfetto/flamegraph exports.
+enabled, drives one workload scenario under the resource sampler
+(``drive_scenario``, shared with the health runs), then turns the
+resulting span forest into the full observability deliverable: exact
+critical-path attribution per stage and resource kind, streaming latency
+digests, straggler-slack accounting, continuous telemetry summaries, and
+Perfetto/flamegraph exports.
 
-This is the engine behind ``python -m repro profile`` and the CI smoke
-job.  The attribution is *exact*: for every completed request the
-per-stage nanoseconds partition the measured end-to-end latency with no
-residual (``verify_exact`` raises otherwise), so shares in the report
-always sum to 100%.
+This is the engine behind ``python -m repro profile`` and ``python -m
+repro smoke profile``.  The attribution is *exact*: for every completed
+request the per-stage nanoseconds partition the measured end-to-end
+latency with no residual (``verify_exact`` raises otherwise), so shares
+in the report always sum to 100%.
 """
 
 from __future__ import annotations
@@ -201,22 +202,22 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def run_profile(
-    scenario: Union[str, ProfileScenario],
-    framework: str = "delibak",
-    bs: int = kib(4),
-    iodepth: int = 4,
-    nrequests: int = 60,
-    seed: int = 0,
-    interval_ns: int = DEFAULT_INTERVAL_NS,
-) -> ProfileReport:
-    """Run one scenario under full observability and attribute it.
-
-    Raises :class:`BenchmarkError` if any completed request's critical
-    path fails the exactness check — that invariant is the product, not
-    a best-effort diagnostic.
-    """
-    scn = PROFILE_SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+def drive_scenario(
+    scn: ProfileScenario,
+    job_prefix: str,
+    framework: str,
+    bs: int,
+    iodepth: int,
+    nrequests: int,
+    seed: int,
+    interval_ns: int,
+    health=None,
+):
+    """Build ``scn``'s traced, metered stack and run its job, named
+    ``<job_prefix>.<scenario>`` (the name seeds the workload's RNG), under
+    the resource sampler; an attached ``health`` layer is polled as the
+    ``health.status`` gauge, which schedules no simulation event.
+    Returns ``(fw, RunResult, sampler)``."""
     cfg = framework_by_name(framework)
     if scn.chaos:
         # Lazy import: repro.bench.__init__ imports breakdown, which
@@ -238,23 +239,45 @@ def run_profile(
         seed=seed,
         obs=True,
         metrics=True,
+        health=health,
     )
     if scn.chaos:
         FaultInjector(fw.cluster).set_message_faults(
             drop_p=_CHAOS_DROP_P, duplicate_p=_CHAOS_DUP_P, corrupt_p=_CHAOS_CORRUPT_P
         )
     job_kwargs = {"size": mib(32)} if scn.chaos else {}
-    job = FioJob(
-        f"profile.{scn.name}", scn.rw, bs=bs, iodepth=iodepth, nrequests=nrequests, **job_kwargs
-    )
+    name = f"{job_prefix}.{scn.name}"
+    job = FioJob(name, scn.rw, bs=bs, iodepth=iodepth, nrequests=nrequests, **job_kwargs)
     sampler = ResourceSampler(fw.env, fw.metrics, interval_ns)
     install_framework_probes(sampler, fw)
-    proc = fw.env.process(fw.run_fio(job), name=f"profile.{scn.name}")
+    if fw.health is not None:
+        sampler.add_gauge("health.status", fw.health.poll)
+    proc = fw.env.process(fw.run_fio(job), name=name)
     sampler.drive()
     if not proc.ok:
         raise proc.value
-    result = proc.value
+    return fw, proc.value, sampler
 
+
+def run_profile(
+    scenario: Union[str, ProfileScenario],
+    framework: str = "delibak",
+    bs: int = kib(4),
+    iodepth: int = 4,
+    nrequests: int = 60,
+    seed: int = 0,
+    interval_ns: int = DEFAULT_INTERVAL_NS,
+) -> ProfileReport:
+    """Run one scenario under full observability and attribute it.
+
+    Raises :class:`BenchmarkError` if any completed request's critical
+    path fails the exactness check — that invariant is the product, not
+    a best-effort diagnostic.
+    """
+    scn = PROFILE_SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    fw, result, sampler = drive_scenario(
+        scn, "profile", framework, bs, iodepth, nrequests, seed, interval_ns
+    )
     tracer = fw.tracer
     roots = tracer.complete_trees()
     incomplete = tracer.incomplete_trees()
@@ -291,8 +314,8 @@ def run_profile(
 
     return ProfileReport(
         scenario=scn.name,
-        framework=cfg.name,
-        label=cfg.label,
+        framework=fw.config.name,
+        label=fw.config.label,
         rw=scn.rw,
         bs=bs,
         iodepth=iodepth,
@@ -316,7 +339,7 @@ def run_profile(
     )
 
 
-#: Scenarios the CI smoke job runs (covers replication fan-out, EC
+#: Scenarios the profile smoke runs (covers replication fan-out, EC
 #: encode/shard dispatch, and chaos retry legs).
 SMOKE_SCENARIOS = ("randwrite", "randread", "ec-write", "chaos")
 
@@ -337,6 +360,8 @@ def profile_smoke(
     ``(exit_code, report)``.
     """
     import json
+
+    from ..bench.tables import smoke_verdict  # lazy: repro.bench imports this module
 
     problems: list[str] = []
     rows = [f"{'scenario':10s} {'ios':>4s} {'trees':>6s} {'p99_us':>8s} "
@@ -381,12 +406,7 @@ def profile_smoke(
     if flame_path is not None and first_report is not None:
         first_report.export_flamegraph(flame_path)
         rows.append(f"[folded stacks written to {flame_path}]")
-    report_text = "\n".join(rows)
-    if problems:
-        report_text += "\nSMOKE FAIL:\n" + "\n".join(f"  - {p}" for p in problems)
-        return 1, report_text
-    report_text += (
-        f"\nSMOKE PASS: {len(SMOKE_SCENARIOS)} scenarios, attribution exact, "
-        f"exports deterministic"
+    return smoke_verdict(
+        "\n".join(rows), problems,
+        f"{len(SMOKE_SCENARIOS)} scenarios, attribution exact, exports deterministic",
     )
-    return 0, report_text

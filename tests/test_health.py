@@ -383,11 +383,12 @@ def test_report_json_roundtrip(chaos_report):
     assert doc["health"]["op_classes"]
 
 
-def test_health_smoke_passes():
-    code, text, chaos = health_smoke(nrequests=30)
+def test_health_smoke_passes(tmp_path):
+    report_path = tmp_path / "health.json"
+    code, text = health_smoke(nrequests=30, report_path=str(report_path))
     assert code == 0, text
     assert "HEALTH SMOKE PASS" in text
-    assert chaos.health.slow_ops
+    assert json.loads(report_path.read_text())["health"]["slow_ops"]
 
 
 def test_cli_health_report(tmp_path, capsys):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.recovery import read_object as read
+from repro.bench.recovery import write_object as write
 from repro.osd import (
     ClusterSpec,
     FaultInjector,
@@ -56,21 +58,6 @@ def run(env, gen):
     if not p.ok:
         raise p.value
     return p.value
-
-
-def write(client, pool, name, data):
-    if pool.pool_type.value == "replicated":
-        yield from client.write_replicated(pool, name, data, direct=True)
-    else:
-        yield from client.write_ec(pool, name, data, direct=True)
-
-
-def read(client, pool, name, length):
-    if pool.pool_type.value == "replicated":
-        data = yield from client.read_replicated(pool, name, 0, length)
-    else:
-        data = yield from client.read_ec(pool, name, length, direct=True)
-    return data
 
 
 def payload_for(n, size=4096):

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
 """Check the smoke outputs against their recorded digests.
 
-Each row is one ``python -m repro`` command.  It runs in a fresh
-temporary directory (so report paths in its output are relative), must
-exit 0, and is hashed over its stdout plus every file it writes there.
-The hashes are compared with ``tests/golden/smokes.sha256``, which pins
-these outputs byte for byte across changes that claim to move no
-simulated event.
+Each row is one ``python -m repro`` command.  It runs in its own fresh
+directory ``build/smokes/<row>/`` (wiped first, so report paths in its
+output are relative), must exit 0, and is hashed over its stdout plus
+every file it writes there; its stdout is also kept there as
+``stdout.txt``.  Rows are separate processes in separate directories, so
+they run concurrently (one thread per CPU) without touching each other's
+digests; results print in ``ROWS`` order.  The hashes are compared with
+``tests/golden/smokes.sha256``, which pins these outputs byte for byte
+across changes that claim to move no simulated event.
 
 Run:  python tools/smoke_digests.py             (exit 1 on any mismatch)
       python tools/smoke_digests.py --update    (re-record the digests)
@@ -19,47 +22,47 @@ import argparse
 import hashlib
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
-import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "smokes.sha256"
+OUT = ROOT / "build" / "smokes"
 
 #: (row name, ``python -m repro`` arguments, files the command writes).
 ROWS = (
-    ("chaos-smoke", ["chaos", "--smoke"], ()),
-    ("chaos-power-loss", ["chaos", "--power-loss"], ()),
+    ("chaos-smoke", ["smoke", "chaos"], ()),
+    ("chaos-power-loss", ["smoke", "power-loss"], ()),
     ("chaos-seed0", ["chaos", "--seed", "0"], ()),
-    ("crashsim-smoke", ["crashsim", "--smoke", "--report", "crashsim-report.json"],
-     ("crashsim-report.json",)),
-    ("recover-smoke", ["recover", "--smoke"], ()),
-    ("qos-smoke", ["qos", "--smoke"], ()),
-    ("cache-smoke", ["cache", "--smoke"], ()),
-    ("health-smoke", ["health", "--smoke", "--report", "health-report.json"],
-     ("health-report.json",)),
+    ("crashsim-smoke", ["smoke", "crashsim"], ("crashsim-report.json",)),
+    ("recover-smoke", ["smoke", "recover"], ()),
+    ("qos-smoke", ["smoke", "qos"], ()),
+    ("cache-smoke", ["smoke", "cache"], ()),
+    ("health-smoke", ["smoke", "health"], ("health-report.json",)),
     ("experiment-table2", ["experiment", "table2"], ()),
     ("experiment-fig7", ["experiment", "fig7"], ()),
     ("trace-export", ["trace", "--export", "trace.json"], ("trace.json",)),
-    ("profile-smoke", ["profile", "--smoke", "--export", "profile-trace.json",
-                       "--flamegraph", "profile.folded"],
-     ("profile-trace.json", "profile.folded")),
+    ("profile-smoke", ["smoke", "profile"], ("profile-trace.json", "profile.folded")),
 )
 
 
-def run_row(args: list, files: tuple) -> tuple[int, str, str]:
-    """Run one row; return (exit code, digest, stderr tail)."""
+def run_row(args: list, files: tuple, workdir: pathlib.Path) -> tuple[int, str, str]:
+    """Run one row in ``workdir`` (wiped first); return (exit code,
+    digest, stderr tail)."""
+    shutil.rmtree(workdir, ignore_errors=True)
+    workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    with tempfile.TemporaryDirectory() as tmp:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *args],
-            cwd=tmp, env=env, capture_output=True,
-        )
-        digest = hashlib.sha256(proc.stdout)
-        for name in files:
-            path = pathlib.Path(tmp) / name
-            digest.update(b"\0" + name.encode() + b"\0")
-            digest.update(path.read_bytes() if path.exists() else b"<missing>")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *args], cwd=workdir, env=env, capture_output=True
+    )
+    (workdir / "stdout.txt").write_bytes(proc.stdout)
+    digest = hashlib.sha256(proc.stdout)
+    for name in files:
+        path = workdir / name
+        digest.update(b"\0" + name.encode() + b"\0")
+        digest.update(path.read_bytes() if path.exists() else b"<missing>")
     return proc.returncode, digest.hexdigest(), proc.stderr.decode(errors="replace")[-2000:]
 
 
@@ -78,12 +81,13 @@ def main(argv=None) -> int:
     unknown = set(args.rows) - {name for name, _, _ in ROWS}
     if unknown:
         parser.error(f"unknown rows: {', '.join(sorted(unknown))}")
+    rows = [row for row in ROWS if not args.rows or row[0] in args.rows]
+    with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+        futures = [pool.submit(run_row, cmd, files, OUT / name) for name, cmd, files in rows]
+        results = [future.result() for future in futures]
     recorded = load(GOLDEN)
     failed = 0
-    for name, cmd, files in ROWS:
-        if args.rows and name not in args.rows:
-            continue
-        rc, digest, stderr = run_row(cmd, files)
+    for (name, cmd, _files), (rc, digest, stderr) in zip(rows, results):
         if rc != 0:
             print(f"FAIL {name}: `python -m repro {' '.join(cmd)}` exited {rc}\n{stderr}")
             failed += 1
