@@ -4,14 +4,21 @@ This is the computation the DeLiBA-K FPGA executes in the datapath: hash
 the object name to a placement group (PG) with Ceph's *stable mod*, then
 run the pool's CRUSH rule on the PG seed to obtain the acting set of
 OSDs.  :class:`PlacementEngine` caches PG mappings per map epoch, since a
-PG's acting set only changes when the map changes.
+PG's acting set only changes when the map changes.  On its first miss
+for a pool in an epoch it also computes the rule's round-0 descents for
+every PG of the pool in one batched pass (like Ceph's ``OSDMapMapping``
+precomputing a map's PG table), so later misses find their descents
+memoized.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..errors import CrushError
+from . import batch
 from .hashing import hash32_2, str_hash
 from .map import CrushMap
 from .rules import CrushRule, Mapper
@@ -46,6 +53,11 @@ def pg_seed(pool_id: int, pg_id: int) -> int:
     return hash32_2(pg_id, pool_id)
 
 
+def pg_seeds(pool_id: int, pg_num: int) -> np.ndarray:
+    """``pg_seed(pool_id, pg)`` for every PG of a pool, as one array."""
+    return batch.hash32_2(np.arange(pg_num, dtype=np.int64), np.int64(pool_id))
+
+
 class PlacementEngine:
     """Caches rule executions per (pool, pg, size) for one map epoch."""
 
@@ -54,6 +66,8 @@ class PlacementEngine:
         self.mapper = Mapper(cmap) if total_tries is None else Mapper(cmap, total_tries)
         self.epoch = 1
         self._cache: dict[tuple[int, int, int, int], list[int]] = {}
+        #: (pool, rule, size) whose descents the mapper memoized this epoch.
+        self._filled: set[tuple[int, int, int]] = set()
         #: True when the last pg_to_osds call ran CRUSH (cache miss).
         self.last_was_miss = False
         self.hits = 0
@@ -63,15 +77,28 @@ class PlacementEngine:
         """Bump the epoch after any map mutation (device out/in/reweight)."""
         self.epoch += 1
         self._cache.clear()
+        self._filled.clear()
+        self.mapper.clear_memo()
 
-    def pg_to_osds(self, pool_id: int, pg_id: int, rule: CrushRule, size: int) -> list[int]:
-        """Acting set for a PG: up to ``size`` OSD ids (holes for indep rules)."""
+    def pg_to_osds(
+        self, pool_id: int, pg_id: int, pg_num: int, rule: CrushRule, size: int
+    ) -> list[int]:
+        """Acting set for a PG: up to ``size`` OSD ids (holes for indep rules).
+
+        ``pg_num`` is the pool's PG count: the first miss for a (pool,
+        rule, size) in an epoch memoizes the round-0 descents of all its
+        PGs in one batched pass.
+        """
         key = (pool_id, pg_id, rule.rule_id, size)
         hit = self._cache.get(key)
         if hit is not None:
             self.last_was_miss = False
             self.hits += 1
             return hit
+        filled = (pool_id, rule.rule_id, size)
+        if filled not in self._filled:
+            self._filled.add(filled)
+            self.mapper.fill_memo(rule, pg_seeds(pool_id, pg_num), size)
         osds = self.mapper.do_rule(rule, pg_seed(pool_id, pg_id), size)
         self._cache[key] = osds
         self.last_was_miss = True
@@ -83,7 +110,7 @@ class PlacementEngine:
     ) -> tuple[int, list[int]]:
         """Full path: object name -> (pg_id, acting set)."""
         pg_id = object_to_pg(object_name, pg_num)
-        return pg_id, self.pg_to_osds(pool_id, pg_id, rule, size)
+        return pg_id, self.pg_to_osds(pool_id, pg_id, pg_num, rule, size)
 
     @staticmethod
     def primary_of(acting: list[int]) -> Optional[int]:

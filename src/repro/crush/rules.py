@@ -10,6 +10,10 @@ ports the behaviour of Ceph's ``crush_do_rule`` in two modes:
 
 Collision, out-device rejection (probabilistic reweight test), and
 bounded retry (``choose_total_tries``) follow the published algorithm.
+
+A :class:`Mapper` can also memoize descents computed in bulk by
+:mod:`repro.crush.batch` (:meth:`Mapper.fill_memo`); the rule logic
+itself always runs here, one input at a time.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from ..errors import CrushError
+from .batch import descend_many
 from .hashing import hash32_2
 from .map import CrushMap
-from .types import CRUSH_ITEM_NONE, WEIGHT_ONE, DeviceClass
+from .types import CRUSH_ITEM_NONE, MAX_DEPTH, WEIGHT_ONE, DeviceClass
 
 #: Default retry budget, matching Ceph's choose_total_tries tunable.
 CHOOSE_TOTAL_TRIES = 50
-#: Maximum descent depth (guards against malformed cyclic maps).
-MAX_DEPTH = 32
 
 
 class StepOp(Enum):
@@ -112,15 +117,60 @@ def erasure_rule(
     )
 
 
+def _numrep(step: Step, num_rep: int) -> int:
+    """Items a choose step picks per working item when ``num_rep`` are asked."""
+    numrep = step.num if step.num > 0 else num_rep + step.num
+    return min(numrep, num_rep) if step.num == 0 else numrep
+
+
 class Mapper:
     """Executes rules against a :class:`CrushMap`."""
 
     def __init__(self, cmap: CrushMap, total_tries: int = CHOOSE_TOTAL_TRIES):
         self.map = cmap
         self.total_tries = total_tries
-        #: abstract op count of the last do_rule call (profiling hook)
-        self.last_ops = 0
         self._required_class: Optional[DeviceClass] = None
+        #: Memoized descents: (start, r, want_type) -> {x: item}.  Only
+        #: :meth:`fill_memo` adds entries; :meth:`clear_memo` drops them.
+        self._memo: dict[tuple[int, int, int], dict[int, int]] = {}
+
+    # -- descent memo ----------------------------------------------------------
+
+    def fill_memo(self, rule: CrushRule, xs: np.ndarray, num_rep: int) -> None:
+        """Memoize round 0 of ``rule``'s first choose step for every x in ``xs``.
+
+        One batched pass computes, for each input and each rank ``rep``,
+        the descent from the take item with ``r = rep`` and, for
+        chooseleaf, the first leaf descent under the item found.  A
+        descent is a pure function of the buckets, so the memo is exact
+        until the map changes: the owner calls :meth:`clear_memo` then.
+        """
+        take, step = rule.steps[0], rule.steps[1]
+        if step.op in (StepOp.TAKE, StepOp.EMIT) or take.arg not in self.map.buckets:
+            return
+        xs = np.asarray(xs, dtype=np.uint32)
+        numrep = _numrep(step, num_rep)
+        lane_xs = np.tile(xs, numrep)
+        lane_rs = np.repeat(np.arange(numrep, dtype=np.int64), len(xs))
+        starts = [take.arg] * len(lane_xs)
+        items = descend_many(self.map, starts, lane_xs, lane_rs, step.type_id)
+        self._remember(starts, lane_xs, lane_rs, step.type_id, items)
+        if step.op in (StepOp.CHOOSELEAF_FIRSTN, StepOp.CHOOSELEAF_INDEP):
+            found = [i for i, item in enumerate(items) if item is not None]
+            starts = [items[i] for i in found]
+            lane_xs, lane_rs = lane_xs[found], lane_rs[found]
+            leaves = descend_many(self.map, starts, lane_xs, lane_rs, 0)
+            self._remember(starts, lane_xs, lane_rs, 0, leaves)
+
+    def _remember(self, starts, xs, rs, want_type: int, items) -> None:
+        memo = self._memo
+        for start, x, r, item in zip(starts, xs.tolist(), rs.tolist(), items):
+            if item is not None:
+                memo.setdefault((start, r, want_type), {})[x] = item
+
+    def clear_memo(self) -> None:
+        """Drop every memoized descent (call after any map mutation)."""
+        self._memo.clear()
 
     # -- device acceptance -------------------------------------------------------
 
@@ -139,6 +189,11 @@ class Mapper:
 
     def _descend(self, start: int, x: int, r: int, want_type: int) -> Optional[int]:
         """Walk from ``start`` down to an item of ``want_type`` using rank r."""
+        memo = self._memo.get((start, r, want_type))
+        if memo is not None:
+            item = memo.get(x)
+            if item is not None:
+                return item
         node = start
         for _ in range(MAX_DEPTH):
             if self.map.type_of(node) == want_type:
@@ -148,9 +203,7 @@ class Mapper:
             bucket = self.map.buckets[node]
             if bucket.size == 0:
                 return None
-            item = bucket.choose(x, r)
-            self.last_ops += bucket.last_ops
-            node = item
+            node = bucket.choose(x, r)
         raise CrushError(f"descent from {start} exceeded max depth {MAX_DEPTH}")
 
     def _leaf_under(self, node: int, x: int, rank: int) -> Optional[int]:
@@ -237,7 +290,6 @@ class Mapper:
         """
         if num_rep < 1:
             raise CrushError(f"num_rep must be >= 1, got {num_rep}")
-        self.last_ops = 0
         self._required_class = rule.device_class
         working: list[int] = []
         out: list[int] = []
@@ -250,8 +302,7 @@ class Mapper:
                 out.extend(working)
                 working = []
             else:
-                numrep = step.num if step.num > 0 else num_rep + step.num
-                numrep = min(numrep, num_rep) if step.num == 0 else numrep
+                numrep = _numrep(step, num_rep)
                 firstn = step.op in (StepOp.CHOOSE_FIRSTN, StepOp.CHOOSELEAF_FIRSTN)
                 to_leaf = step.op in (StepOp.CHOOSELEAF_FIRSTN, StepOp.CHOOSELEAF_INDEP)
                 next_working: list[int] = []

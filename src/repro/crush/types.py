@@ -11,6 +11,9 @@ WEIGHT_ONE = 0x10000
 #: Sentinel returned when a choose step finds no item.
 CRUSH_ITEM_NONE = 0x7FFFFFFF
 
+#: Maximum descent depth (guards against malformed cyclic maps).
+MAX_DEPTH = 32
+
 
 def weight_fp(weight: float) -> int:
     """Convert a float weight (1.0 == one unit, e.g. 1 TiB) to 16.16 fixed point."""

@@ -49,11 +49,11 @@ class RadosClient(Messenger):
         self.osdmap = osdmap
         self.placement = PlacementEngine(osdmap.crush)
         self._placement_epoch = osdmap.epoch
-        #: Epoch-keyed placement cache: (pool_id, object) -> (acting, ops).
+        #: Epoch-keyed placement cache: (pool_id, object) -> acting set.
         #: Valid for ``_placement_epoch`` only; cleared on any map bump
         #: (including the OpPolicy failover refresh), so a stale epoch is
         #: never served.
-        self._placement_cache: dict[tuple[int, str], tuple[tuple[int, ...], int]] = {}
+        self._placement_cache: dict[tuple[int, str], tuple[int, ...]] = {}
         self._codecs: dict[int, ReedSolomon] = {}
         self.policy = policy or DEFAULT_POLICY
         #: RNG substream for backoff jitter (None = no jitter).
@@ -62,8 +62,6 @@ class RadosClient(Messenger):
         #: per-call ``tenant`` argument is empty (one client per VM).
         self.tenant = ""
         self.ops_completed = 0
-        #: CRUSH work counter of the last placement (profiling hook).
-        self.last_placement_ops = 0
         #: True when the last compute_placement actually ran CRUSH (the
         #: cost-model hook: hits pay only a hash + lookup).
         self.last_was_miss = False
@@ -111,10 +109,8 @@ class RadosClient(Messenger):
             self._placement_cache.clear()
             self._placement_epoch = epoch
         key = (pool.pool_id, object_name)
-        entry = self._placement_cache.get(key)
-        if entry is not None:
-            acting, ops = entry
-            self.last_placement_ops = ops
+        acting = self._placement_cache.get(key)
+        if acting is not None:
             self.last_was_miss = False
             self._m_place_hits.add()
             if CRUSH_ITEM_NONE in acting:
@@ -125,12 +121,10 @@ class RadosClient(Messenger):
             pool.pool_id, object_name, pool.pg_num, pool.rule, pool.size
         )
         acting = tuple(acting_list)
-        ops = self.placement.mapper.last_ops
-        self.last_placement_ops = ops
         # A client-cache miss may still be a PG-cache hit in the engine;
         # the cost model charges the full CRUSH cost only on real misses.
         self.last_was_miss = self.placement.last_was_miss
-        self._placement_cache[key] = (acting, ops)
+        self._placement_cache[key] = acting
         self._m_place_misses.add()
         if CRUSH_ITEM_NONE in acting:
             self.degraded_placements += 1

@@ -118,6 +118,23 @@ def base_object_name(store_key: str) -> str:
 class OsdDaemon(Messenger):
     """One OSD process."""
 
+    #: Op kind -> name of the method that serves it.
+    _HANDLERS = {
+        OpKind.READ: "_do_read",
+        OpKind.WRITE: "_do_primary_write",
+        OpKind.WRITE_DIRECT: "_do_direct_write",
+        OpKind.REP_WRITE: "_do_direct_write",
+        OpKind.SHARD_WRITE: "_do_shard_write",
+        OpKind.SHARD_READ: "_do_shard_read",
+        OpKind.EC_WRITE: "_do_ec_primary_write",
+        OpKind.EC_READ: "_do_ec_primary_read",
+        OpKind.DELETE: "_do_delete",
+        OpKind.PING: "_do_ping",
+        OpKind.PG_LIST: "_do_pg_list",
+        OpKind.PULL: "_do_pull",
+        OpKind.PUSH: "_do_push",
+    }
+
     def __init__(
         self,
         env: Environment,
@@ -324,26 +341,12 @@ class OsdDaemon(Messenger):
         svc = op.obs_service = leg.child("osd.service", "service", **meta)
         try:
             yield self.env.timeout(self.config.op_cost_ns)
-            handler = {
-                OpKind.READ: self._do_read,
-                OpKind.WRITE: self._do_primary_write,
-                OpKind.WRITE_DIRECT: self._do_direct_write,
-                OpKind.REP_WRITE: self._do_direct_write,
-                OpKind.SHARD_WRITE: self._do_shard_write,
-                OpKind.SHARD_READ: self._do_shard_read,
-                OpKind.EC_WRITE: self._do_ec_primary_write,
-                OpKind.EC_READ: self._do_ec_primary_read,
-                OpKind.DELETE: self._do_delete,
-                OpKind.PING: self._do_ping,
-                OpKind.PG_LIST: self._do_pg_list,
-                OpKind.PULL: self._do_pull,
-                OpKind.PUSH: self._do_push,
-            }.get(op.kind)
+            handler = self._HANDLERS.get(op.kind)
             if handler is None:
                 reply = OsdReply(op.op_id, False, error=f"unknown op kind {op.kind}")
             else:
                 try:
-                    reply = yield from handler(op)
+                    reply = yield from getattr(self, handler)(op)
                 except StorageError as exc:
                     reply = OsdReply(op.op_id, False, error=str(exc))
         finally:

@@ -215,7 +215,9 @@ class RecoveryManager:
                 key = (pool.pool_id, pg)
                 if key not in self.pgs:
                     acting = tuple(
-                        self.placement.pg_to_osds(pool.pool_id, pg, pool.rule, pool.size)
+                        self.placement.pg_to_osds(
+                            pool.pool_id, pg, pool.pg_num, pool.rule, pool.size
+                        )
                     )
                     info = PGInfo(pool.pool_id, pg, acting=acting)
                     self.pgs[key] = info
@@ -235,7 +237,9 @@ class RecoveryManager:
         self._sync_agents()
         for (pool_id, pg), info in sorted(self.pgs.items()):
             pool = self.osdmap.pools[pool_id]
-            acting = tuple(self.placement.pg_to_osds(pool_id, pg, pool.rule, pool.size))
+            acting = tuple(
+                self.placement.pg_to_osds(pool_id, pg, pool.pg_num, pool.rule, pool.size)
+            )
             if acting != info.acting:
                 self._schedule_peer(info, acting)
 
@@ -246,7 +250,9 @@ class RecoveryManager:
         for _, info in sorted(self.pgs.items()):
             pool = self.osdmap.pools[info.pool_id]
             acting = tuple(
-                self.placement.pg_to_osds(info.pool_id, info.pg_id, pool.rule, pool.size)
+                self.placement.pg_to_osds(
+                    info.pool_id, info.pg_id, pool.pg_num, pool.rule, pool.size
+                )
             )
             self._schedule_peer(info, acting)
 

@@ -9,12 +9,30 @@ object -> PG -> acting-set path per OSDMap epoch.  Its contract:
   refresh — invalidates every entry, so a stale acting set is never
   served; and
 * hit/miss counters in the metrics registry reflect reality.
+
+Under the client, :class:`repro.crush.PlacementEngine` memoizes a
+pool's batched round-0 descents per epoch.  Its contract is exactness:
+over random maps and rules it answers, hits and misses exactly like
+unfilled scalar ``Mapper.do_rule`` calls behind the same PG cache.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crush import PlacementEngine, build_flat_cluster
+from repro.crush import (
+    BucketAlg,
+    CrushMap,
+    CrushRule,
+    DeviceClass,
+    Mapper,
+    PlacementEngine,
+    Step,
+    StepOp,
+    build_flat_cluster,
+    pg_seed,
+)
+from repro.crush.types import WEIGHT_ONE
+from repro.errors import CrushError
 from repro.net.stack import KERNEL_TCP
 from repro.net.topology import Network
 from repro.osd.client import RadosClient
@@ -48,11 +66,15 @@ def fresh_placement(osdmap, pool, name):
     return tuple(acting)
 
 
+PG_NUMS = st.sampled_from([8, 16, 32])
+SIZES = st.integers(min_value=2, max_value=3)
+
+
 @st.composite
 def cluster_and_objects(draw):
     num_osds = draw(st.integers(min_value=4, max_value=12))
-    pg_num = draw(st.sampled_from([8, 16, 32]))
-    size = draw(st.integers(min_value=2, max_value=3))
+    pg_num = draw(PG_NUMS)
+    size = draw(SIZES)
     names = draw(
         st.lists(
             st.text(
@@ -141,3 +163,120 @@ def test_cache_key_separates_pools():
     assert client.compute_placement(pool_a, "same-name") == a
     assert client.compute_placement(pool_b, "same-name") == b
     assert not client.last_was_miss
+
+
+# -- the engine's batched descent memo ------------------------------------------
+
+DEVICE_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0])
+CLASSES = st.sampled_from([DeviceClass.SSD, DeviceClass.HDD])
+
+
+@st.composite
+def crush_maps(draw):
+    """1 to 3 bucket levels over every bucket algorithm, with zero-weight
+    devices and two device classes.  Returns (map, root, levels)."""
+    cmap = CrushMap()
+    levels = draw(st.integers(min_value=1, max_value=3))
+
+    def subtree(type_id):
+        n = draw(st.integers(min_value=1, max_value=4))
+        if type_id == 1:
+            items = [
+                cmap.add_device(f"osd.{len(cmap.devices)}", draw(DEVICE_WEIGHTS), draw(CLASSES))
+                for _ in range(n)
+            ]
+        else:
+            items = [subtree(type_id - 1) for _ in range(n)]
+        alg = draw(st.sampled_from(list(BucketAlg)))
+        weights = None
+        if alg == BucketAlg.UNIFORM:
+            weights = [draw(st.sampled_from([0, WEIGHT_ONE // 2, WEIGHT_ONE]))] * n
+        return cmap.add_bucket(alg, type_id, items, weights=weights)
+
+    return cmap, subtree(levels), levels
+
+
+@st.composite
+def crush_rules(draw, cmap, root, levels, rule_id):
+    """firstn/indep, choose/chooseleaf, sometimes a second choose step
+    or a take below the root, sometimes a device class."""
+    ops = st.sampled_from(
+        [StepOp.CHOOSE_FIRSTN, StepOp.CHOOSE_INDEP, StepOp.CHOOSELEAF_FIRSTN,
+         StepOp.CHOOSELEAF_INDEP]
+    )
+    take = draw(st.one_of(st.just(root), st.sampled_from(sorted(cmap.buckets))))
+
+    def choose():
+        return Step(draw(ops), num=draw(st.sampled_from([0, 0, 1, 2, -1])),
+                    type_id=draw(st.integers(min_value=0, max_value=levels - 1)))
+
+    steps = [Step(StepOp.TAKE, arg=take), choose()]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        steps.append(choose())
+    device_class = draw(st.one_of(st.none(), CLASSES))
+    return CrushRule(rule_id, f"r{rule_id}", tuple(steps) + (Step(StepOp.EMIT),), device_class)
+
+
+def _outcome(fn):
+    """A call's result, or its error: both paths must fail alike too (a
+    hole an indep step leaves is no valid start for a second step)."""
+    try:
+        return fn()
+    except (CrushError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+@given(crush_maps(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_filling_engine_equals_unfilled_scalar_rules(case, data):
+    """Lookups interleaved with device out/in/reweight (no invalidate
+    needed: descents ignore reweights), bucket weight changes (followed
+    by invalidate, as the engine requires) and bare invalidates."""
+    cmap, root, levels = case
+    pools = [
+        (pool_id, data.draw(PG_NUMS), data.draw(crush_rules(cmap, root, levels, pool_id)),
+         data.draw(st.integers(min_value=1, max_value=5)))
+        for pool_id in range(1, data.draw(st.integers(min_value=1, max_value=2)) + 1)
+    ]
+    devices = st.sampled_from(sorted(cmap.devices))
+    actions = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("lookup"), st.integers(0, len(pools) - 1), st.integers(0, 31)),
+        st.tuples(st.just("out"), devices),
+        st.tuples(st.just("in"), devices),
+        st.tuples(st.just("reweight"), devices, st.sampled_from([0.25, 0.5, 0.9])),
+        st.tuples(st.just("weight"), devices, DEVICE_WEIGHTS),
+        st.tuples(st.just("invalidate")),
+    ), min_size=1, max_size=40))
+    eng = PlacementEngine(cmap)
+    scalar = Mapper(cmap)  # never filled
+    cache: dict = {}
+    hits = misses = 0
+    for action in actions:
+        kind = action[0]
+        if kind == "lookup":
+            pool_id, pg_num, rule, size = pools[action[1]]
+            pg = action[2] % pg_num
+            key = (pool_id, pg, rule.rule_id, size)
+            miss = key not in cache
+            if miss:
+                expected = _outcome(lambda: scalar.do_rule(rule, pg_seed(pool_id, pg), size))
+            else:
+                expected = cache[key]
+            got = _outcome(lambda: eng.pg_to_osds(pool_id, pg, pg_num, rule, size))
+            assert got == expected
+            if isinstance(expected, list):
+                cache[key] = expected
+                hits, misses = hits + (not miss), misses + miss
+                assert eng.last_was_miss == miss
+            assert (eng.hits, eng.misses) == (hits, misses)
+        elif kind == "out":
+            cmap.mark_out(action[1])
+        elif kind == "in":
+            cmap.mark_in(action[1])
+        elif kind == "reweight":
+            cmap.set_reweight(action[1], action[2])
+        else:
+            if kind == "weight":
+                cmap.reweight_device(action[1], action[2])
+            eng.invalidate()
+            cache.clear()

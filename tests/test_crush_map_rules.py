@@ -309,11 +309,11 @@ def test_placement_engine_caches_and_invalidates():
     cmap, root = make_cluster(8)
     eng = PlacementEngine(cmap)
     rule = replicated_rule(root)
-    a = eng.pg_to_osds(1, 5, rule, 3)
-    assert eng.pg_to_osds(1, 5, rule, 3) is a  # cached
+    a = eng.pg_to_osds(1, 5, 64, rule, 3)
+    assert eng.pg_to_osds(1, 5, 64, rule, 3) is a  # cached
     cmap.mark_out(a[0])
     eng.invalidate()
-    b = eng.pg_to_osds(1, 5, rule, 3)
+    b = eng.pg_to_osds(1, 5, 64, rule, 3)
     assert b is not a
     assert a[0] not in b
 

@@ -312,6 +312,28 @@ def test_heartbeats_require_messenger():
         mon.start_heartbeats(1000, 1000)
 
 
+def test_osd_dispatch_table_serves_every_kind_and_rejects_unknown():
+    """Every op kind names a handler method; an unknown kind still gets
+    the "unknown op kind" error reply."""
+    from repro.osd.ops import OpKind, OsdOp
+    from repro.osd.osd import OsdDaemon
+
+    env, cluster = small_cluster()
+    daemon = cluster.daemons[0]
+    assert set(OsdDaemon._HANDLERS) == set(OpKind)
+    for name in OsdDaemon._HANDLERS.values():
+        assert callable(getattr(daemon, name))
+    client = cluster.new_client()
+
+    def probe(env):
+        op = OsdOp(OpKind.PING, 0, "probe")
+        op.kind = "bogus"
+        return (yield from client.call("osd.0", op, timeout_ns=us(500)))
+
+    reply = run(env, probe(env))
+    assert not reply.ok and reply.error == "unknown op kind bogus"
+
+
 def test_call_to_dead_osd_fails_fast_with_transport_error():
     """A crashed OSD refuses connections: the caller gets a TRANSPORT
     reply well before its timeout instead of hanging out the full wait."""

@@ -160,8 +160,8 @@ def test_crush_epoch_cache_transparency(x):
     cmap, root = build_flat_cluster(8)
     eng = PlacementEngine(cmap)
     rule = replicated_rule(root)
-    first = eng.pg_to_osds(1, x % 64, rule, 3)
-    second = eng.pg_to_osds(1, x % 64, rule, 3)
+    first = eng.pg_to_osds(1, x % 64, 64, rule, 3)
+    second = eng.pg_to_osds(1, x % 64, 64, rule, 3)
     assert first == second
     assert eng.placement_was_cached if hasattr(eng, "placement_was_cached") else True
     assert eng.hits >= 1
