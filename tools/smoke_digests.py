@@ -45,6 +45,15 @@ ROWS = (
     ("experiment-fig7", ["experiment", "fig7"], ()),
     ("trace-export", ["trace", "--export", "trace.json"], ("trace.json",)),
     ("profile-smoke", ["smoke", "profile"], ("profile-trace.json", "profile.folded")),
+    # Stock Ceph's primary-mediated ops: the replicated row sends `write`
+    # ops that the primary forwards as `rep_write` sub-ops; the EC row
+    # sends `ec_write`/`ec_read` that fan out `shard_write`/`shard_read`.
+    ("fio-software-ceph-rep",
+     ["fio", "--framework", "software-ceph", "--rw", "randrw", "--iodepth", "8",
+      "--nrequests", "200", "--metrics"], ()),
+    ("fio-software-ceph-ec",
+     ["fio", "--framework", "software-ceph", "--rw", "randrw", "--iodepth", "8",
+      "--nrequests", "200", "--metrics", "--pool", "erasure"], ()),
 )
 
 
