@@ -409,3 +409,23 @@ def traced_call(
         span.annotate(status=reply.status.name)
     span.finish(ok=reply.ok)
     return reply
+
+
+def fan_out(
+    messenger: Messenger, legs, timeout_ns: Optional[int] = None, local=None
+) -> Generator:
+    """Process: parallel sub-op calls; returns the replies in leg order.
+
+    Each leg ``(osd, op, span)`` becomes one :func:`traced_call`
+    process to ``osd.<osd>``.  ``local``, a generator (a primary's own
+    apply), runs as one more process after them; its result comes last.
+    """
+    env = messenger.env
+    procs = [
+        env.process(traced_call(messenger, f"osd.{osd}", op, timeout_ns, span), name="subop")
+        for osd, op, span in legs
+    ]
+    if local is not None:
+        procs.append(env.process(local, name="local"))
+    results = yield env.all_of(procs)
+    return [results[proc] for proc in procs]

@@ -158,6 +158,12 @@ class QosTag:
         return QosTag(self.tenant, self.svc)
 
 
+def derive(tag: Optional[QosTag]) -> Optional[QosTag]:
+    """:meth:`QosTag.derive` for one more wire op; an untagged op's
+    sub-ops stay untagged."""
+    return None if tag is None else tag.derive()
+
+
 @dataclass
 class QosConfig:
     """Cluster-wide QoS policy: per-tenant specs plus service classes."""
