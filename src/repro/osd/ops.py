@@ -46,6 +46,7 @@ class OsdOp:
     length: int = 0
     data: Optional[bytes] = None
     #: Acting set computed by the sender (Ceph clients address by map).
+    #: EC ops keep its CRUSH holes, so a position is a shard rank.
     acting: tuple[int, ...] = ()
     #: Shard index for EC shard ops.
     shard: int = -1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crush import CRUSH_ITEM_NONE
 from repro.errors import StorageError
 from repro.osd import (
     ClusterSpec,
@@ -164,6 +165,32 @@ def test_ec_cross_mode_roundtrip():
     data = b"interop" * 300
     run(env, client.write_ec(pool, "o1", data, direct=False))
     assert run(env, client.read_ec(pool, "o1", len(data), direct=True)) == data
+
+
+def test_ec_primary_ops_keep_shard_ranks_across_a_crush_hole():
+    """One host of six OSDs under EC 4+2: failing one OSD leaves a CRUSH
+    hole in the acting set.  The primary must still write each shard at
+    its own rank (the client used to drop the hole, so every later shard
+    slid down one rank and parity was never written), and both read
+    paths must decode it."""
+    env = Environment()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=1, osds_per_host=6))
+    pool = cluster.create_erasure_pool("ec", pg_num=8, k=4, m=2)
+    client = cluster.new_client()
+    cluster.fail_osd(client.compute_placement(pool, "obj")[1])
+    acting = client.compute_placement(pool, "obj")
+    assert acting[1] == CRUSH_ITEM_NONE
+    data = bytes(range(256)) * 16
+    run(env, client.write_ec(pool, "obj", data, direct=False))
+    held = {
+        (rank, d.osd_id)
+        for d in cluster.daemons.values()
+        for rank in range(6)
+        if shard_object_name("obj", rank) in d.store
+    }
+    assert held == {(rank, osd) for rank, osd in enumerate(acting) if osd != CRUSH_ITEM_NONE}
+    assert run(env, client.read_ec(pool, "obj", len(data), direct=True)) == data
+    assert run(env, client.read_ec(pool, "obj", len(data), direct=False)) == data
 
 
 # --- failure handling --------------------------------------------------------------
