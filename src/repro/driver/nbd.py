@@ -89,6 +89,9 @@ class NbdDriver:
         self.image = image
         self.config = config or NbdConfig()
         self.hardware = hardware
+        # The stack's op topology: DeLiBA fan-out runs on the card, so
+        # every backend op of this image addresses replicas/shards itself.
+        image.direct = True
         self.qdma = qdma
         self.crush_accel = crush_accel
         self.ec_accel = ec_accel
@@ -189,19 +192,11 @@ class NbdDriver:
         request.completion.succeed(request)
 
     def _image_io(self, request: Request, ctx=NULL_SPAN) -> Generator:
-        saved = self.image.direct
-        self.image.direct = True  # DeLiBA fan-out runs on the card
-        try:
-            offset = request.bios[0].offset
-            if request.op == IoOp.WRITE:
-                data = request.data() or b"\x00" * request.size
-                yield from self.image.write(
-                    offset, data, sequential=request.sequential, ctx=ctx,
-                    tenant=request.tenant,
-                )
-            else:
-                yield from self.image.read(
-                    offset, request.size, ctx=ctx, tenant=request.tenant
-                )
-        finally:
-            self.image.direct = saved
+        offset = request.bios[0].offset
+        if request.op == IoOp.WRITE:
+            data = request.data() or b"\x00" * request.size
+            yield from self.image.write(
+                offset, data, sequential=request.sequential, ctx=ctx, tenant=request.tenant
+            )
+        else:
+            yield from self.image.read(offset, request.size, ctx=ctx, tenant=request.tenant)

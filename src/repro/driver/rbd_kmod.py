@@ -42,6 +42,7 @@ class RbdKmodDriver:
         self.env = env
         self.kernel = kernel
         self.image = image
+        image.direct = False  # primary-mediated, like stock Ceph
         self.config = config or RbdKmodConfig()
         self.core = kernel.cpus.pick_core()
         self.requests_completed = 0
@@ -55,19 +56,14 @@ class RbdKmodDriver:
         yield from charge_sw_placement(
             self.core, self.image, request, self.config.sw_placement_ns, cached=False
         )
-        saved = self.image.direct
-        self.image.direct = False  # primary-mediated, like stock Ceph
-        try:
-            offset = request.bios[0].offset
-            if request.op == IoOp.WRITE:
-                data = request.data() or b"\x00" * request.size
-                yield from self.image.write(
-                    offset, data, sequential=request.sequential, tenant=request.tenant
-                )
-            else:
-                yield from self.image.read(offset, request.size, tenant=request.tenant)
-        finally:
-            self.image.direct = saved
+        offset = request.bios[0].offset
+        if request.op == IoOp.WRITE:
+            data = request.data() or b"\x00" * request.size
+            yield from self.image.write(
+                offset, data, sequential=request.sequential, tenant=request.tenant
+            )
+        else:
+            yield from self.image.read(offset, request.size, tenant=request.tenant)
         request.completed_at = self.env.now
         self.requests_completed += 1
         request.completion.succeed(request)

@@ -83,6 +83,10 @@ class UifdDriver:
         self.image = image
         self.config = config or UifdConfig()
         self.hardware = hardware
+        # The stack's op topology, fixed for every backend op of this
+        # image: the FPGA always fans out; software mode follows
+        # ``client_fanout``.
+        image.direct = hardware or self.config.client_fanout
         self.function = function
         self.qdma = qdma
         self.crush_accel = crush_accel
@@ -159,7 +163,7 @@ class UifdDriver:
         fab = ctx.child("fabric", "net")
         ok = False
         try:
-            yield from self._image_io(request, direct=True, ctx=fab)
+            yield from self._image_io(request, ctx=fab)
             ok = True
         finally:
             fab.finish(ok=ok)
@@ -188,29 +192,21 @@ class UifdDriver:
         fab = ctx.child("fabric", "net")
         ok = False
         try:
-            yield from self._image_io(request, direct=fanout, ctx=fab)
+            yield from self._image_io(request, ctx=fab)
             ok = True
         finally:
             fab.finish(ok=ok)
 
     # -- common ---------------------------------------------------------------------------
 
-    def _image_io(self, request: Request, direct: bool, ctx=NULL_SPAN) -> Generator:
-        saved = self.image.direct
-        self.image.direct = direct
-        try:
-            offset = request.bios[0].offset
-            if request.op == IoOp.WRITE:
-                data = request.data()
-                if data is None:
-                    data = b"\x00" * request.size
-                yield from self.image.write(
-                    offset, data, sequential=request.sequential, ctx=ctx,
-                    tenant=request.tenant,
-                )
-            else:
-                yield from self.image.read(
-                    offset, request.size, ctx=ctx, tenant=request.tenant
-                )
-        finally:
-            self.image.direct = saved
+    def _image_io(self, request: Request, ctx=NULL_SPAN) -> Generator:
+        offset = request.bios[0].offset
+        if request.op == IoOp.WRITE:
+            data = request.data()
+            if data is None:
+                data = b"\x00" * request.size
+            yield from self.image.write(
+                offset, data, sequential=request.sequential, ctx=ctx, tenant=request.tenant
+            )
+        else:
+            yield from self.image.read(offset, request.size, ctx=ctx, tenant=request.tenant)

@@ -54,7 +54,9 @@ class RBDImage:
         self.pool = pool
         self.client = client
         self.object_size = object_size
-        #: DeLiBA mode: client fans out replicas/shards directly.
+        #: The stack's op topology, set once by the driver that serves the
+        #: image: True fans out replicas/shards from the client (DeLiBA),
+        #: False routes every op through the primary OSD (stock Ceph).
         self.direct = direct
 
     def object_name(self, index: int) -> str:
@@ -83,19 +85,22 @@ class RBDImage:
 
     def write(
         self, offset: int, data: bytes, sequential: bool = False, ctx=NULL_SPAN,
-        tenant: str = "",
+        tenant: str = "", direct: Optional[bool] = None,
     ) -> Generator:
         """Process: write ``data`` at ``offset`` (parallel across objects).
 
         ``ctx`` is the op's causal span: multi-object writes open one
         ``fanout`` child per extent so the straggler object is visible.
         ``tenant`` is the QoS identity stamped on every RADOS op.
+        ``direct`` overrides the image's :attr:`direct` for this call.
         """
+        if direct is None:
+            direct = self.direct
         extents = self._object_extents(offset, len(data))
         multi = len(extents) > 1
         is_ec = self.pool.pool_type == PoolType.ERASURE
         pre_encoded: list[Optional[list[bytes]]] = [None] * len(extents)
-        if is_ec and self.direct and len(extents) > 1:
+        if is_ec and direct and len(extents) > 1:
             # Client-side fan-out re-encodes every object of the write:
             # batch all stripes through one cross-stripe matmul instead
             # of one codec call per object (bytes are identical).
@@ -127,7 +132,7 @@ class RBDImage:
                     self.pool,
                     name,
                     payload,
-                    direct=self.direct,
+                    direct=direct,
                     sequential=sequential,
                     shards=pre_encoded[ext_i],
                     ctx=sub_ctx,
@@ -140,7 +145,7 @@ class RBDImage:
                     name,
                     payload,
                     offset=obj_off,
-                    direct=self.direct,
+                    direct=direct,
                     sequential=sequential,
                     ctx=sub_ctx,
                     tenant=tenant,
