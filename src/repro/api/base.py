@@ -86,6 +86,7 @@ class AioEngine(ABC):
         self.env = env
         self.kernel = kernel
         self.blk = blk
+        self._m_errors = blk.metrics.counter(f"api.{self.name}.errors")
 
     @property
     def metrics(self):
@@ -102,6 +103,27 @@ class AioEngine(ABC):
         meter = self.metrics.meter(f"api.{self.name}.throughput")
         meter.start(self.env.now)
         return meter
+
+    def _complete(
+        self, result: RunResult, meter, bio: Bio, latency_ns: int, ok: bool, root
+    ) -> None:
+        """Account one completed I/O, the same way on every engine.
+
+        Its latency always counts and the health layer, when attached,
+        sees it with ``root``, its causal span tree; its bytes move only
+        when it succeeded, and a failed I/O counts as an error instead
+        (fio-style).
+        """
+        result.latencies_ns.append(latency_ns)
+        health = self.blk.health
+        if health is not None:
+            health.observe_client(bio.op.value, bio.tenant, latency_ns, ok, root)
+        if ok:
+            result.bytes_moved += bio.size
+            meter.record(bio.size, self.env.now)
+        else:
+            result.errors += 1
+            self._m_errors.add()
 
     @abstractmethod
     def run(self, bios: Sequence[Bio], iodepth: int) -> Generator:

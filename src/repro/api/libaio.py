@@ -44,12 +44,12 @@ class LibAioEngine(AioEngine):
         meter = self.open_throughput_meter()
         core = self.kernel.cpus.pick_core()
         queue = deque(bios)
-        inflight: dict[int, tuple[int, int]] = {}  # req_id -> (t0, size)
-        completed: deque = deque()
+        inflight: dict[int, tuple[int, Bio]] = {}  # req_id -> (t0, bio)
+        completed: deque = deque()  # completed requests
         waiter: list[Event] = []
 
         def on_done(request):
-            completed.append(request.req_id)
+            completed.append(request)
             if waiter and not waiter[0].triggered:
                 waiter.pop(0).succeed()
 
@@ -63,7 +63,7 @@ class LibAioEngine(AioEngine):
                 yield from self.kernel.copy(core, IOCB_BYTES * len(batch))
                 for bio in batch:
                     request = yield from self.blk.submit_bio(core, bio)
-                    inflight[request.req_id] = (self.env.now, bio.size)
+                    inflight[request.req_id] = (self.env.now, bio)
                     req = request  # bind for closure
 
                     def make_cb(r):
@@ -84,10 +84,8 @@ class LibAioEngine(AioEngine):
                 yield from self.kernel.interrupt(core)
                 yield from self.kernel.context_switch(core)
             while completed:
-                req_id = completed.popleft()
-                t0, size = inflight.pop(req_id)
-                result.latencies_ns.append(self.env.now - t0)
-                result.bytes_moved += size
-                meter.record(size, self.env.now)
+                request = completed.popleft()
+                t0, bio = inflight.pop(request.req_id)
+                self._complete(result, meter, bio, self.env.now - t0, request.ok, bio.obs_span)
         result.finished_at = self.env.now
         return result

@@ -55,6 +55,7 @@ class MmapEngine(AioEngine):
         while queue:
             bio = queue.popleft()
             start = self.env.now
+            ok = True  # resident pages cannot fail
             if bio.op == IoOp.READ:
                 yield from self._fault_in(core, bio)
                 # Touching resident pages is a memcpy out of the mapping.
@@ -69,9 +70,8 @@ class MmapEngine(AioEngine):
                 yield from self.kernel.context_switch(core)
                 yield request.completion
                 yield from self.kernel.context_switch(core)
-            result.latencies_ns.append(self.env.now - start)
-            result.bytes_moved += bio.size
-            meter.record(bio.size, self.env.now)
+                ok = request.ok
+            self._complete(result, meter, bio, self.env.now - start, ok, bio.obs_span)
 
     def _fault_in(self, core, bio: Bio) -> Generator:
         """Fault the bio's pages in, fault-around style."""

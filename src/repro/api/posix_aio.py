@@ -71,6 +71,4 @@ class PosixAioEngine(AioEngine):
                 yield from self.kernel.copy(core, bio.size)
             # Completion delivery by signal to the submitter.
             yield from self.kernel.context_switch(core)
-            result.latencies_ns.append(self.env.now - start)
-            result.bytes_moved += bio.size
-            meter.record(bio.size, self.env.now)
+            self._complete(result, meter, bio, self.env.now - start, request.ok, bio.obs_span)

@@ -47,12 +47,11 @@ class SyncEngine(AioEngine):
         while queue:
             bio = queue.popleft()
             start = self.env.now
-            yield from self._blocking_io(core, bio)
-            result.latencies_ns.append(self.env.now - start)
-            result.bytes_moved += bio.size
-            meter.record(bio.size, self.env.now)
+            ok = yield from self._blocking_io(core, bio)
+            self._complete(result, meter, bio, self.env.now - start, ok, bio.obs_span)
 
     def _blocking_io(self, core, bio: Bio) -> Generator:
+        """Process: one syscall's I/O; returns whether it succeeded."""
         # The causal tree is rooted at the syscall, so its duration is
         # the latency the worker measures.
         self.blk.tracer.open_root(bio)
@@ -73,4 +72,5 @@ class SyncEngine(AioEngine):
         # Completion delivery: IRQ + wakeup (+ read copy-out).
         root = bio.obs_span
         root.record("complete", "stage", t0, self.env.now)
-        root.finish(ok=not (request.status or request.error))
+        root.finish(ok=request.ok)
+        return request.ok

@@ -51,7 +51,6 @@ class UringEngine(AioEngine):
             raise ApiError(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
         self.mode = mode
-        self._m_errors = self.metrics.counter(f"api.{self.name}.errors")
         self.instances = [
             IoUring(
                 env,
@@ -98,9 +97,7 @@ class UringEngine(AioEngine):
     ) -> Generator:
         """One submitter thread: batch-fill SQ, submit, reap, refill."""
         submit_times: dict[int, int] = {}
-        sizes: dict[int, int] = {}
-        health = self.blk.health
-        bios: dict[int, object] = {}
+        bios: dict[int, Bio] = {}
         inflight = 0
         while shard or inflight:
             # Batched fill: the push count is bounded by four independent
@@ -112,9 +109,7 @@ class UringEngine(AioEngine):
                 now = self.env.now
                 for sqe, bio in zip(inst.prepare_many(batch), batch):
                     submit_times[sqe.user_data] = now
-                    sizes[sqe.user_data] = bio.size
-                    if health is not None:
-                        bios[sqe.user_data] = bio
+                    bios[sqe.user_data] = bio
                 inflight += pushed
                 yield from inst.submit()
             if inflight:
@@ -127,18 +122,9 @@ class UringEngine(AioEngine):
                     root.record("complete", "stage", t0, self.env.now)
                     root.finish(ok=cqe.ok)
                     latency = self.env.now - submit_times.pop(cqe.user_data)
-                    result.latencies_ns.append(latency)
-                    if health is not None:
-                        bio = bios.pop(cqe.user_data)
-                        health.observe_client(bio.op.value, bio.tenant, latency, cqe.ok, root)
-                    nbytes = sizes.pop(cqe.user_data)
-                    if cqe.ok:
-                        result.bytes_moved += nbytes
-                        meter.record(nbytes, self.env.now)
-                    else:
-                        # Failed I/O: fio-style, count it but move no bytes.
-                        result.errors += 1
-                        self._m_errors.add()
+                    self._complete(
+                        result, meter, bios.pop(cqe.user_data), latency, cqe.ok, root
+                    )
                     inflight -= 1
 
     def total_syscalls_saved(self) -> int:

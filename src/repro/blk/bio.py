@@ -106,6 +106,11 @@ class Request:
         self.fail(getattr(exc, "status", BlkStatus.IOERR), str(exc))
 
     @property
+    def ok(self) -> bool:
+        """True when the request completed with no failure status."""
+        return not (self.status or self.error)
+
+    @property
     def op(self) -> IoOp:
         """Direction (uniform across merged bios)."""
         return self.bios[0].op

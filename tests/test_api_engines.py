@@ -14,10 +14,14 @@ from repro.api import (
 )
 from repro.api.uring.sqe import Sqe, UringOp
 from repro.blk import Bio, BlkMqConfig, BlockLayer, IoOp
+from repro.deliba import build_framework, framework_by_name
 from repro.errors import ApiError, RingFullError
 from repro.host import HostKernel
+from repro.osd import FaultInjector, OpPolicy
 from repro.sim import Environment
-from repro.units import us
+from repro.status import BlkStatus
+from repro.units import kib, ms, us
+from repro.workloads import FioJob
 
 
 class NullDriver:
@@ -264,6 +268,57 @@ def test_legacy_engines_complete_all_ios(engine_cls):
     result = run_engine(engine, bios_seq(10, op=IoOp.WRITE), iodepth=4)
     assert result.ios == 10
     assert result.bytes_moved == 10 * 4096
+
+
+class FailingDriver(NullDriver):
+    """Completes every request with an I/O error."""
+
+    def queue_rq(self, request):
+        request.fail(BlkStatus.IOERR, "injected")
+        super().queue_rq(request)
+
+
+class HealthProbe:
+    def __init__(self):
+        self.seen = []
+
+    def observe_client(self, op_class, tenant, latency_ns, ok, root):
+        self.seen.append(ok)
+
+
+@pytest.mark.parametrize(
+    "engine_cls", [SyncEngine, LibAioEngine, PosixAioEngine, MmapEngine, UringEngine]
+)
+@pytest.mark.parametrize("driver_cls", [NullDriver, FailingDriver])
+def test_every_engine_accounts_completions_alike(engine_cls, driver_cls):
+    """One completion path: a failed I/O counts as an error and moves no
+    bytes, and the health layer sees every completion.  Only the
+    io_uring engine used to; the others counted a failed write's bytes
+    as moved and never fed health."""
+    env = Environment()
+    kernel = HostKernel(env, num_cores=8)
+    blk = BlockLayer(env, kernel, driver_cls(env).queue_rq,
+                     BlkMqConfig(scheduler="none", merge_enabled=False))
+    blk.health = HealthProbe()
+    result = run_engine(engine_cls(env, kernel, blk), bios_seq(10, op=IoOp.WRITE), iodepth=4)
+    ok = driver_cls is NullDriver
+    assert result.ios == 10
+    assert result.errors == (0 if ok else 10)
+    assert result.bytes_moved == (10 * 4096 if ok else 0)
+    assert blk.health.seen == [ok] * 10
+
+
+def test_sync_stack_counts_failed_ios_and_feeds_health():
+    """D2 (the sync engine) with every message lost: the 20 writes fail,
+    move no bytes, and reach the health layer's SLO tracking."""
+    fw = build_framework(framework_by_name("deliba2"), health=True)
+    fw.image.client.policy = OpPolicy(timeout_ns=ms(1), max_attempts=1)
+    FaultInjector(fw.cluster).set_message_faults(drop_p=1.0)
+    job = FioJob("lossy", "randwrite", bs=kib(4), iodepth=4, nrequests=20)
+    result = run_engine(fw.engine, job.make_bios(fw.rng.stream("fio.lossy.j0")), iodepth=4)
+    assert (result.errors, result.bytes_moved) == (20, 0)
+    slo = fw.health.slo.summary(fw.env.now)[""]
+    assert (slo["total"], slo["errors"]) == (20, 20)
 
 
 def test_sync_engine_charges_syscall_per_io():
