@@ -37,11 +37,9 @@ class MmapEngine(AioEngine):
         result = RunResult(started_at=self.env.now)
         meter = self.open_throughput_meter()
         queue = deque(bios)
-        workers = [
-            self.env.process(self._worker(queue, result, meter), name=f"mmap.t{t}")
-            for t in range(min(iodepth, len(bios)))
-        ]
-        yield self.env.all_of(workers)
+        yield self.env.gather(
+            self._worker(queue, result, meter) for _ in range(min(iodepth, len(bios)))
+        )
         result.finished_at = self.env.now
         return result
 

@@ -42,11 +42,7 @@ class PosixAioEngine(AioEngine):
         meter = self.open_throughput_meter()
         queue = deque(bios)
         threads = min(self.pool_threads, iodepth, len(bios))
-        workers = [
-            self.env.process(self._pool_thread(queue, result, meter), name=f"paio.t{t}")
-            for t in range(threads)
-        ]
-        yield self.env.all_of(workers)
+        yield self.env.gather(self._pool_thread(queue, result, meter) for _ in range(threads))
         result.finished_at = self.env.now
         return result
 

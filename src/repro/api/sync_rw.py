@@ -34,11 +34,9 @@ class SyncEngine(AioEngine):
         result = RunResult(started_at=self.env.now)
         meter = self.open_throughput_meter()
         queue = deque(bios)
-        workers = [
-            self.env.process(self._worker(queue, result, tid, meter), name=f"sync.t{tid}")
-            for tid in range(min(iodepth, len(bios)))
-        ]
-        yield self.env.all_of(workers)
+        yield self.env.gather(
+            self._worker(queue, result, tid, meter) for tid in range(min(iodepth, len(bios)))
+        )
         result.finished_at = self.env.now
         return result
 

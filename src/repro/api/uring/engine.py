@@ -80,15 +80,11 @@ class UringEngine(AioEngine):
         # Split the depth budget, spreading any remainder over the first
         # instances so total inflight equals exactly ``iodepth``.
         base, extra = divmod(iodepth, len(active))
-        procs = [
-            self.env.process(
-                self._drive(inst, shard, base + (1 if i < extra else 0), result, meter),
-                name=f"{inst.name}.drive",
-            )
+        yield self.env.gather(
+            self._drive(inst, shard, base + (1 if i < extra else 0), result, meter)
             for i, (inst, shard) in enumerate(zip(active, shards))
             if shard
-        ]
-        yield self.env.all_of(procs)
+        )
         result.finished_at = self.env.now
         return result
 

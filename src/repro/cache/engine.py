@@ -274,14 +274,10 @@ class CachedImage:
             ev.succeed(None)
         self._refresh_gauges()
 
-    def flush_lines(self, lines: list[CacheLine], reason: str = "", ctx=NULL_SPAN) -> Generator:
+    def flush_lines(self, lines: list[CacheLine], ctx=NULL_SPAN) -> Generator:
         """Process: write a batch of dirty lines back, in parallel."""
-        procs = [
-            self.env.process(self._flush_line(line, ctx=ctx), name=f"cache.flush.{reason}")
-            for line in lines
-        ]
-        if procs:
-            yield self.env.all_of(procs)
+        if lines:
+            yield self.env.gather(self._flush_line(line, ctx=ctx) for line in lines)
 
     def flush(self, ctx=NULL_SPAN) -> Generator:
         """Process: write back every dirty line (durable on return).
@@ -293,7 +289,7 @@ class CachedImage:
         would let a refill read the pre-flush bytes.
         """
         while self.store.dirty_count or self._flush_events:
-            yield from self.flush_lines(self.store.dirty_lines_lru(), reason="all", ctx=ctx)
+            yield from self.flush_lines(self.store.dirty_lines_lru(), ctx=ctx)
             if self._flush_events:
                 yield self.env.all_of(list(self._flush_events.values()))
 

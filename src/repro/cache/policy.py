@@ -110,7 +110,7 @@ class AlruCleaning:
                 oldest = min(ln.dirty_since_ns for ln in dirty)
                 yield env.timeout(max(self.wake_ns, oldest + self.staleness_ns - env.now))
                 continue
-            yield from cache.flush_lines(stale[: self.flush_max], reason="alru")
+            yield from cache.flush_lines(stale[: self.flush_max])
             yield env.timeout(self.wake_ns)
 
 
@@ -132,7 +132,7 @@ class AcpCleaning:
                 yield cache.dirty_event()
             dirty = cache.store.dirty_lines_lru()
             if dirty:
-                yield from cache.flush_lines(dirty[: self.flush_max], reason="acp")
+                yield from cache.flush_lines(dirty[: self.flush_max])
             yield env.timeout(self.wake_ns)
 
 

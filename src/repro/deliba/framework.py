@@ -136,14 +136,12 @@ class FrameworkInstance:
             _build_engine(self.env, self.kernel, self.blk, self.config)
             for _ in range(job.numjobs - 1)
         ]
-        procs = [
-            self.env.process(engine.run(bios, job.iodepth), name=f"fio.j{j}")
-            for j, (engine, bios) in enumerate(zip(engines, all_bios))
-        ]
-        results = yield self.env.all_of(procs)
-        merged = RunResult(started_at=min(r.started_at for r in results.values()))
-        merged.finished_at = max(r.finished_at for r in results.values())
-        for r in results.values():
+        results = yield self.env.gather(
+            engine.run(bios, job.iodepth) for engine, bios in zip(engines, all_bios)
+        )
+        merged = RunResult(started_at=min(r.started_at for r in results))
+        merged.finished_at = max(r.finished_at for r in results)
+        for r in results:
             merged.latencies_ns.extend(r.latencies_ns)
             merged.bytes_moved += r.bytes_moved
             merged.errors += r.errors

@@ -298,11 +298,13 @@ class CausalTracer:
 def wrap_span(span: Union[SpanNode, NullSpan], gen):
     """Process: run ``gen`` to completion, closing ``span`` either way.
 
-    Used to time fan-out legs that run as spawned processes (RBD
-    per-object writes, an OSD primary's local apply): the span closes
-    when the leg's process finishes, with the error flag set if it
-    raised.  With :data:`NULL_SPAN` this is a transparent passthrough,
-    so call sites need no tracing conditionals around process creation.
+    Used to time fan-out legs joined by ``env.gather`` (RBD per-object
+    legs, an OSD primary's local apply): the span closes when the leg
+    finishes, with the error flag set if it raised.  A gather leg has no
+    :class:`~repro.sim.Process`, so code that needs ``env.active_process``
+    or an interrupt handle (request handlers, WAL applies) stays a
+    process.  With :data:`NULL_SPAN` this is a transparent passthrough,
+    so call sites need no tracing conditionals around the join.
     """
     try:
         result = yield from gen

@@ -416,16 +416,12 @@ def fan_out(
 ) -> Generator:
     """Process: parallel sub-op calls; returns the replies in leg order.
 
-    Each leg ``(osd, op, span)`` becomes one :func:`traced_call`
-    process to ``osd.<osd>``.  ``local``, a generator (a primary's own
-    apply), runs as one more process after them; its result comes last.
+    Each leg ``(osd, op, span)`` is one :func:`traced_call` to
+    ``osd.<osd>``.  ``local``, a generator (a primary's own apply), is
+    one more leg after them; its result comes last.  The legs are joined
+    by :meth:`~repro.sim.Environment.gather`, so no leg is a process.
     """
-    env = messenger.env
-    procs = [
-        env.process(traced_call(messenger, f"osd.{osd}", op, timeout_ns, span), name="subop")
-        for osd, op, span in legs
-    ]
+    gens = [traced_call(messenger, f"osd.{osd}", op, timeout_ns, span) for osd, op, span in legs]
     if local is not None:
-        procs.append(env.process(local, name="local"))
-    results = yield env.all_of(procs)
-    return [results[proc] for proc in procs]
+        gens.append(local)
+    return (yield messenger.env.gather(gens))

@@ -6,7 +6,7 @@ processes, :class:`Resource`/:class:`Semaphore` for counted servers,
 measurement monitors, and the hierarchical :class:`MetricsRegistry`.
 """
 
-from .core import Condition, Environment, Event, Process, Timeout
+from .core import Condition, Environment, Event, Gather, Process, Timeout
 from .metrics import NULL_METRICS, MetricsError, MetricsRegistry, NullMetricsRegistry
 from .monitor import (
     Counter,
@@ -27,6 +27,7 @@ __all__ = [
     "Environment",
     "Event",
     "FilterStore",
+    "Gather",
     "Gauge",
     "LatencyRecorder",
     "MetricsError",

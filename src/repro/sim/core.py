@@ -227,21 +227,7 @@ class Process(Event):
             self.fail(exc)
             return
         env._active = None
-        if not isinstance(target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-            )
-        if target.env is not env:
-            raise SimulationError(f"process {self.name!r} yielded an event from another Environment")
-        if target._processed:
-            # Already fired: resume immediately (at current time).
-            resume_ev = env._new_resume_event(target._ok, target._value)
-            resume_ev.callbacks.append(self._resume)
-            env._schedule(resume_ev, priority=URGENT)
-            self._target = resume_ev
-        else:
-            target.callbacks.append(self._resume)
-            self._target = target
+        self._target = env._wait(target, self._resume, self)
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
@@ -301,6 +287,25 @@ class Environment:
         ev._processed = False
         return ev
 
+    def _wait(self, target: Event, resume: Callable[[Event], None], who) -> Event:
+        """Call ``resume`` with ``target`` once it fires; ``who`` (a
+        process or a gather leg) yielded it.  Returns the event waited on.
+
+        A target that already fired resumes ``who`` at once, through an
+        URGENT resume event at the current time.
+        """
+        if not isinstance(target, Event):
+            raise SimulationError(f"{who!r} yielded {target!r}; processes must yield Event objects")
+        if target.env is not self:
+            raise SimulationError(f"{who!r} yielded an event from another Environment")
+        if target._processed:
+            resume_ev = self._new_resume_event(target._ok, target._value)
+            resume_ev.callbacks.append(resume)
+            self._schedule(resume_ev, priority=URGENT)
+            return resume_ev
+        target.callbacks.append(resume)
+        return target
+
     @property
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
@@ -338,6 +343,28 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> "Condition":
         """Event that fires when all of ``events`` have fired."""
         return Condition(self, list(events), Condition.all_done)
+
+    def gather(self, generators: Iterable[ProcessGenerator]) -> "Gather":
+        """Event that fires with the generators' return values, in order.
+
+        If a generator raises, the event fails with the first exception
+        raised.  Each generator is a *leg*, stepped from event callbacks
+        as a process is, but no :class:`Process` exists for it: a leg has
+        no ``env.active_process`` and no handle to interrupt, so code
+        that needs either must run as a process.  Legs keep running after
+        a sibling raises and after the waiter is interrupted, as the
+        processes of an :meth:`all_of` join over :meth:`process` do.
+
+        The join schedules the same events at the same queue positions
+        as that process-per-leg join, less 2n - 2 of its 2n + 1 events:
+        one URGENT start event steps all n legs in order, where n
+        consecutive URGENT process starts did; a leg's return or raise
+        schedules nothing, except the last return or the first raise,
+        whose NORMAL relay event (where that leg's completion event was)
+        triggers the join (where the ``all_of`` condition fired).  An
+        empty join fires at once, as ``all_of([])`` does.
+        """
+        return Gather(self, list(generators))
 
     # -- execution ---------------------------------------------------------------
 
@@ -441,3 +468,89 @@ class Condition(Event):
         self._count += 1
         if self._check(self._count, len(self._events)):
             self.succeed({ev: ev._value for ev in self._events if ev._processed and ev._ok})
+
+
+class Gather(Event):
+    """A join of generators stepped without processes.
+
+    Built by :meth:`Environment.gather`; its value is the list of the
+    generators' return values.
+    """
+
+    __slots__ = ("_legs", "_values", "_left")
+
+    def __init__(self, env: Environment, generators: list[ProcessGenerator]):
+        super().__init__(env)
+        for gen in generators:
+            if not hasattr(gen, "throw"):
+                raise SimulationError(f"gather() needs generators, got {gen!r}")
+        self._values: list[Any] = [None] * len(generators)
+        #: Legs yet to return; -1 once a raise was relayed.
+        self._left = len(generators)
+        #: The legs, until the start event steps them.
+        self._legs: Optional[list[_Leg]] = [
+            _Leg(self, i, gen) for i, gen in enumerate(generators)
+        ]
+        if not generators:
+            self.succeed([])
+            return
+        start = env._new_resume_event(True, None)
+        start.callbacks.append(self._start)
+        env._schedule(start, priority=URGENT)
+
+    def _start(self, event: Event) -> None:
+        legs, self._legs = self._legs, None
+        for leg in legs:
+            leg._resume(event)
+
+    def _finish(self, index: int, ok: bool, value: Any) -> None:
+        """Leg ``index`` returned ``value`` (``ok``) or raised it."""
+        if self._left < 0:
+            return  # a sibling's raise was relayed already
+        if ok:
+            self._values[index] = value
+            self._left -= 1
+            if self._left:
+                return
+            value = self._values
+        else:
+            self._left = -1
+        relay = self.env._new_resume_event(ok, value)
+        relay.callbacks.append(self._relay)
+        self.env._schedule(relay)
+
+    def _relay(self, event: Event) -> None:
+        if event._ok:
+            self.succeed(event._value)
+        else:
+            self.fail(event._value)
+
+
+class _Leg:
+    """One generator of a :class:`Gather`, resumed as a process is."""
+
+    __slots__ = ("_join", "_index", "_generator")
+
+    def __init__(self, join: Gather, index: int, generator: ProcessGenerator):
+        self._join = join
+        self._index = index
+        self._generator = generator
+
+    def _resume(self, event: Event) -> None:
+        try:
+            if event._ok:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(event._value)
+        except StopIteration as stop:
+            self._join._finish(self._index, True, stop.value)
+            return
+        except BaseException as exc:
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                raise
+            self._join._finish(self._index, False, exc)
+            return
+        self._join.env._wait(target, self._resume, self)
+
+    def __repr__(self) -> str:
+        return f"<gather leg {getattr(self._generator, '__name__', '?')!r}>"

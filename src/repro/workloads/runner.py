@@ -51,10 +51,7 @@ def run_olap(fw: "FrameworkInstance", workload: OlapWorkload) -> Generator:
     def aggregate(env):
         yield from core.run(workload.total_cpu_ns)
 
-    io_proc = env.process(fw.engine.run(scan_bios, workload.iodepth), name="olap.scan")
-    cpu_proc = env.process(aggregate(env), name="olap.cpu")
-    results = yield env.all_of([io_proc, cpu_proc])
-    scan_result = results[io_proc]
+    scan_result, _ = yield env.gather([fw.engine.run(scan_bios, workload.iodepth), aggregate(env)])
 
     load_bios = workload.load_bios()
     load_result = yield from fw.engine.run(load_bios, workload.iodepth)

@@ -1,12 +1,19 @@
-"""Event-driven reference for :class:`repro.sim.Resource`.
+"""Event-driven references for :class:`repro.sim.Resource` and
+:meth:`repro.sim.Environment.gather`.
 
-This is the resource the free-slot grant replaced: every claim, even of
-a free slot, is granted by an event that the claiming process waits on.
-It keeps that model's one fix: a claim granted at the instant its
-process is interrupted, before the process resumes, is released.  The
-differential property in ``test_sim_express.py`` requires both to give
-every process the same outcome at the same instant, and the same
-``count``/``queue_len`` at every read instant.
+``ReferenceResource`` is the resource the free-slot grant replaced:
+every claim, even of a free slot, is granted by an event that the
+claiming process waits on.  It keeps that model's one fix: a claim
+granted at the instant its process is interrupted, before the process
+resumes, is released.  The differential property in
+``test_sim_express.py`` requires both to give every process the same
+outcome at the same instant, and the same ``count``/``queue_len`` at
+every read instant.
+
+``reference_gather`` is the process-per-leg join that ``env.gather``
+replaced in the sub-op fan-out and the other joins; the property in
+``test_sim_gather.py`` requires both to step every generator at the same
+instant in the same order.
 """
 
 from __future__ import annotations
@@ -90,3 +97,11 @@ class ReferenceResource:
             yield self.env.timeout(duration)
         finally:
             self.release(req)
+
+
+def reference_gather(env: Environment, generators) -> Generator[Event, Any, list]:
+    """Process: run each generator as a process, wait for all of them,
+    and return their values in order (or fail with the first failure)."""
+    procs = [env.process(gen) for gen in generators]
+    results = yield env.all_of(procs)
+    return [results[proc] for proc in procs]

@@ -6,15 +6,15 @@ pending event.  ``tests/fabric_reference.py`` keeps the inbox ``Store``,
 the demux loop process and the ``any_of`` deadline they replaced.  The
 property here requires the same handler start instants and call results
 from both under random request streams with crashes, corruption and
-duplicates; the other tests pin the deadline tie rule and the events
-one I/O costs on a ``delibak`` stack.
+duplicates; the other tests pin the deadline tie rule, and the events
+and process starts one I/O costs on a ``delibak`` or stock Ceph stack.
 """
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.deliba import DELIBAK, PoolSpec, build_framework
+from repro.deliba import DELIBAK, SOFTWARE_CEPH, PoolSpec, build_framework
 from repro.errors import NetworkError
 from repro.net import KERNEL_TCP, RTL_TCP, Network
 from repro.osd.fabric import Fabric, MessageFaults, Messenger
@@ -226,24 +226,75 @@ def test_cross_host_message_costs_four_events():
     assert env._seq - before == 1 + 4
 
 
-def _job_events(fw, job):
+ONE_WRITE = FioJob("w", "write", bs=kib(4), nrequests=1, size=kib(64))
+ONE_READ = FioJob("r", "read", bs=kib(4), nrequests=1, size=kib(64))
+EC_POOL = PoolSpec(kind="erasure", k=4, m=2)
+
+
+def _job_cost(fw, job, monkeypatch):
+    """Events scheduled and processes started by a one-I/O fio job."""
     env = fw.env
+    starts = []
+    process = Environment.process
+
+    def counted(env, generator, name=""):
+        starts.append(name)
+        return process(env, generator, name)
+
     before = env._seq
     proc = env.process(fw.run_fio(job, prefill=False))
+    monkeypatch.setattr(Environment, "process", counted)
     env.run()
     assert proc.value.ios == 1 and proc.value.errors == 0
-    return env._seq - before
+    return env._seq - before, len(starts)
 
 
-def test_one_direct_ec_write_event_budget():
-    fw = build_framework(DELIBAK, pool_spec=PoolSpec(kind="erasure", k=4, m=2),
-                         object_size=kib(4))
-    fw.image.direct = True
-    assert _job_events(fw, FioJob("w", "write", bs=kib(4), nrequests=1, size=kib(64))) == 116
-
-
-def test_one_replicated_read_event_budget():
-    fw = build_framework(DELIBAK)
+def _prefilled(fw):
     fw.env.process(fw.prefill([0], kib(4)))
     fw.env.run()
-    assert _job_events(fw, FioJob("r", "read", bs=kib(4), nrequests=1, size=kib(64))) == 40
+    return fw
+
+
+# Each sub-op fan-out of n legs is one env.gather: 3 events and no
+# process, where a process per leg and their all_of join took 2n + 1.
+# The processes left are request handlers, blk-mq kicks, the driver's
+# queue_rq and the io_uring completion.
+
+
+def test_one_direct_ec_write_event_budget(monkeypatch):
+    fw = build_framework(DELIBAK, pool_spec=EC_POOL, object_size=kib(4))
+    fw.image.direct = True
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (106, 10)
+
+
+def test_one_direct_ec_read_budget(monkeypatch):
+    fw = _prefilled(build_framework(DELIBAK, pool_spec=EC_POOL, object_size=kib(4)))
+    fw.image.direct = True
+    assert _job_cost(fw, ONE_READ, monkeypatch) == (79, 8)
+
+
+def test_one_direct_replicated_write_budget(monkeypatch):
+    fw = build_framework(DELIBAK, pool_spec=PoolSpec(size=3))
+    fw.image.direct = True
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (68, 7)
+
+
+def test_one_primary_write_budget(monkeypatch):
+    """Stock Ceph: the primary joins its two peer legs and its local apply."""
+    fw = build_framework(SOFTWARE_CEPH, pool_spec=PoolSpec(size=3))
+    assert not fw.image.direct
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (51, 6)
+
+
+def test_one_two_object_rbd_write_budget(monkeypatch):
+    """One 8 KiB write over 4 KiB objects: the image joins two object
+    legs, and each joins its two replica legs."""
+    fw = build_framework(DELIBAK, object_size=kib(4))
+    fw.image.direct = True
+    job = FioJob("w", "write", bs=kib(8), nrequests=1, size=kib(64))
+    assert _job_cost(fw, job, monkeypatch) == (86, 8)
+
+
+def test_one_replicated_read_event_budget(monkeypatch):
+    fw = _prefilled(build_framework(DELIBAK))
+    assert _job_cost(fw, ONE_READ, monkeypatch) == (40, 5)
