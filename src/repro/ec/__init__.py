@@ -10,9 +10,8 @@ from .gf256 import (
     gf_div,
     gf_inv,
     gf_matmul,
+    gf_matmul_rows,
     gf_mul,
-    gf_mul_add_array,
-    gf_mul_array,
     gf_pow,
     gf_sub,
 )
@@ -36,9 +35,8 @@ __all__ = [
     "gf_div",
     "gf_inv",
     "gf_matmul",
+    "gf_matmul_rows",
     "gf_mul",
-    "gf_mul_add_array",
-    "gf_mul_array",
     "gf_pow",
     "gf_sub",
     "identity",

@@ -1,11 +1,11 @@
-"""GF(2^8) arithmetic with NumPy-vectorized table lookups.
+"""GF(2^8) arithmetic: log/antilog tables and a translate-table kernel.
 
 The field is built over the AES/Rijndael-compatible primitive polynomial
 ``x^8 + x^4 + x^3 + x^2 + 1`` (0x11D, the polynomial used by ISA-L,
-jerasure, and Ceph's Reed-Solomon plugins).  Multiplication uses
-log/antilog tables; bulk operations on byte arrays are vectorized per the
-HPC guide's "vectorize the hot loop" rule — encoding throughput depends
-on it.
+jerasure, and Ceph's Reed-Solomon plugins).  Scalar multiplication uses
+log/antilog tables.  Bulk products use one 256-byte product table per
+coefficient: ``bytes.translate`` multiplies a whole row by a coefficient
+in C, and rows are added (XORed) as Python integers.
 """
 
 from __future__ import annotations
@@ -80,48 +80,42 @@ def gf_pow(a: int, n: int) -> int:
     return int(_EXP[(int(_LOG[a]) * n) % 255])
 
 
-def gf_mul_array(scalar: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by ``scalar`` (vectorized).
+#: ``_MUL[c]`` is the translate table of multiplication by ``c``: its
+#: byte ``x`` is ``c * x``.  Built once, shared by every codec.
+_PRODUCTS = _EXP[_LOG[:, None] + _LOG[None, :]]
+_PRODUCTS[0, :] = 0
+_PRODUCTS[:, 0] = 0
+_MUL = [row.tobytes() for row in _PRODUCTS]
+del _PRODUCTS
 
-    This is the encoder's inner loop: one table gather per byte instead
-    of per-element Python arithmetic.
+
+def gf_matmul_rows(mat, rows) -> list[bytes]:
+    """Matrix product over GF(2^8) on byte rows: the codec's one kernel.
+
+    ``mat`` is m rows of k integer coefficients; ``rows`` is k
+    equal-length ``bytes`` (or ``bytearray``) rows.  Returns the m output
+    rows as ``bytes``: row i is the XOR over j of ``mat[i][j] * rows[j]``,
+    the dataflow of the paper's Reed-Solomon encoder pipeline.  Each
+    nonzero coefficient costs one ``bytes.translate`` through its
+    product table (none for a 1), and the XOR runs on the rows as
+    integers.
     """
-    data = np.asarray(data, dtype=np.uint8)
-    if scalar == 0:
-        return np.zeros_like(data)
-    if scalar == 1:
-        return data.copy()
-    log_s = int(_LOG[scalar])
-    out = _EXP[log_s + _LOG[data]].astype(np.uint8)
-    out[data == 0] = 0
+    size = len(rows[0]) if rows else 0
+    out = []
+    for coeffs in mat:
+        acc = 0
+        for c, row in zip(coeffs, rows, strict=True):
+            if c:
+                acc ^= int.from_bytes(row if c == 1 else row.translate(_MUL[c]), "little")
+        out.append(acc.to_bytes(size, "little"))
     return out
 
 
-def gf_mul_add_array(acc: np.ndarray, scalar: int, data: np.ndarray) -> None:
-    """``acc ^= scalar * data`` in place (the GF(2^8) axpy kernel)."""
-    if scalar == 0:
-        return
-    np.bitwise_xor(acc, gf_mul_array(scalar, data), out=acc)
-
-
-#: Above this (m * k * blocksize) byte budget the broadcasted kernel's
-#: intermediate would thrash caches; fall back to the row-axpy loop.
-_MATMUL_BROADCAST_LIMIT = 1 << 26  # 64 MiB
-
-
 def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Matrix-vector product over GF(2^8) on byte blocks.
+    """Matrix product over GF(2^8) on byte blocks, as arrays.
 
     ``mat`` is (m, k) of uint8 coefficients; ``data`` is (k, blocksize)
-    bytes.  Returns (m, blocksize).  Each output row is the axpy-sum of
-    the input rows — the exact dataflow of the paper's Reed-Solomon
-    encoder pipeline.
-
-    The product is computed as one broadcasted table-gather + XOR
-    reduction (a single NumPy dispatch for the whole matrix) instead of
-    m*k Python-level axpy calls; field arithmetic is exact either way,
-    so the two paths are byte-identical.  Inputs too large for the
-    (m, k, blocksize) intermediate take the axpy loop.
+    bytes.  Returns (m, blocksize), computed by :func:`gf_matmul_rows`.
     """
     mat = np.asarray(mat, dtype=np.uint8)
     data = np.asarray(data, dtype=np.uint8)
@@ -133,17 +127,5 @@ def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
     blocksize = data.shape[1]
     if m == 0 or k == 0 or blocksize == 0:
         return np.zeros((m, blocksize), dtype=np.uint8)
-    if m * k * blocksize > _MATMUL_BROADCAST_LIMIT:
-        out = np.zeros((m, blocksize), dtype=np.uint8)
-        for i in range(m):
-            acc = out[i]
-            for j in range(k):
-                gf_mul_add_array(acc, int(mat[i, j]), data[j])
-        return out
-    # exp(log a + log b) with zeros masked out: _LOG[0] is 0 (a lie), so
-    # any product with a zero coefficient or zero data byte is forced to
-    # zero explicitly before the XOR reduction.
-    prod = _EXP[_LOG[mat][:, :, None] + _LOG[data][None, :, :]]
-    nonzero = (mat != 0)[:, :, None] & (data != 0)[None, :, :]
-    prod &= np.where(nonzero, np.uint8(0xFF), np.uint8(0))
-    return np.bitwise_xor.reduce(prod, axis=1)
+    out = gf_matmul_rows(mat.tolist(), [row.tobytes() for row in data])
+    return np.frombuffer(bytearray(b"".join(out)), dtype=np.uint8).reshape(m, blocksize)

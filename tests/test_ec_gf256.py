@@ -1,4 +1,9 @@
-"""Field-axiom and kernel tests for GF(2^8)."""
+"""Field-axiom and kernel tests for GF(2^8).
+
+The translate-table kernel is checked against the NumPy kernels it
+replaced, kept in ``tests/ec_reference.py``; the reference's own per-byte
+multiply is checked against the scalar field here too.
+"""
 
 import numpy as np
 import pytest
@@ -6,16 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ec import (
+    ReedSolomon,
     gf_add,
     gf_div,
     gf_inv,
     gf_matmul,
+    gf_matmul_rows,
     gf_mul,
-    gf_mul_add_array,
-    gf_mul_array,
     gf_pow,
 )
 from repro.errors import ErasureCodingError
+
+from .ec_reference import gf_mul_add_array, gf_mul_array, reference_matmul
 
 ELEM = st.integers(min_value=0, max_value=255)
 NONZERO = st.integers(min_value=1, max_value=255)
@@ -105,7 +112,7 @@ def test_generator_has_full_order():
     assert 0 not in seen
 
 
-# --- vectorized kernels ------------------------------------------------------
+# --- the reference's per-byte kernels -----------------------------------------
 
 
 @given(ELEM, st.binary(min_size=1, max_size=64))
@@ -136,6 +143,59 @@ def test_mul_add_array_accumulates():
     gf_mul_add_array(acc, 3, data)
     gf_mul_add_array(acc, 3, data)
     assert not acc.any()  # adding twice cancels in GF(2^8)
+
+
+# --- the translate-table kernel ---------------------------------------------
+
+
+#: Coefficients with 0 and 1 (the kernel's two shortcuts) drawn often.
+COEFF = st.one_of(st.sampled_from([0, 1]), ELEM)
+
+
+@st.composite
+def products(draw):
+    """(k, m, coefficient rows, data rows), lengths from 0 up."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 4))
+    length = draw(st.one_of(st.integers(0, 3), st.integers(4, 300)))
+    mat = draw(st.lists(st.lists(COEFF, min_size=k, max_size=k), min_size=m, max_size=m))
+    rows = draw(st.lists(st.binary(min_size=length, max_size=length), min_size=k, max_size=k))
+    return k, m, mat, rows
+
+
+@given(products())
+@settings(max_examples=300)
+def test_kernel_matches_both_numpy_paths(case):
+    k, m, mat, rows = case
+    length = len(rows[0])
+    got = gf_matmul_rows(mat, rows)
+    assert all(type(row) is bytes and len(row) == length for row in got)
+    arr_mat = np.array(mat, dtype=np.uint8).reshape(m, k)
+    arr = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(k, length)
+    for limit in (1 << 26, 0):  # the broadcast path, then the axpy loop
+        want = reference_matmul(arr_mat, arr, broadcast_limit=limit)
+        assert got == [row.tobytes() for row in want]
+    out = gf_matmul(arr_mat, arr)
+    assert out.shape == (m, length) and out.flags.writeable
+    assert np.array_equal(out, reference_matmul(arr_mat, arr))
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.binary(max_size=600),
+       st.sampled_from([bytes, bytearray, memoryview]))
+@settings(max_examples=200)
+def test_encode_matches_numpy_split_and_product(k, m, data, kind):
+    codec = ReedSolomon(k, m)
+    shards = codec.encode(kind(data))
+    split = codec.split(data)
+    parity = reference_matmul(codec.generator[k:], split)
+    assert shards == [row.tobytes() for row in split] + [row.tobytes() for row in parity]
+    assert all(type(s) is bytes for s in shards)
+    assert codec.bytes_processed == (k + m) * codec.shard_size(len(data))
+
+
+def test_kernel_rejects_a_coefficient_row_of_the_wrong_width():
+    with pytest.raises(ValueError):
+        gf_matmul_rows([[1, 2, 3]], [b"ab", b"cd"])
 
 
 def test_matmul_identity():
