@@ -400,7 +400,6 @@ class RadosClient(Messenger):
         data: bytes,
         direct: bool = False,
         sequential: bool = False,
-        shards: Optional[list[bytes]] = None,
         ctx=NULL_SPAN,
         tenant: str = "",
     ) -> Generator:
@@ -410,11 +409,6 @@ class RadosClient(Messenger):
         itself (codec CPU/FPGA cost is charged by the framework layer).
         Otherwise the primary encodes and fans out.  Shards already
         acked by their current target are not re-sent on retry.
-
-        ``shards`` may carry the object pre-encoded (the RBD layer
-        batch-encodes all objects of a multi-object write in one
-        cross-stripe matmul); when absent the codec runs here.  Either
-        way the bytes are identical.
         """
         if pool.pool_type != PoolType.ERASURE:
             raise StorageError(f"pool {pool.name!r} is not erasure-coded")
@@ -426,6 +420,8 @@ class RadosClient(Messenger):
             if live < pool.k:
                 raise StorageError(f"only {live} shard targets for {object_name!r}, need k={pool.k}")
             return acting
+
+        shards: Optional[list[bytes]] = None  # encoded once, on the first attempt
 
         def pieces() -> list[tuple[int, int, bytes]]:
             nonlocal shards

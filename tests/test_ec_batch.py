@@ -1,9 +1,10 @@
 """Differential tests: batched EC encode/decode vs the per-stripe paths.
 
-``encode_batch``/``decode_batch`` exist purely for speed (one GF matmul
-per shard-size / erasure-pattern class instead of one per object), so
-their contract is byte-identity with ``encode``/``decode`` — including
-degraded decode-from-survivors.  Hypothesis drives random profiles,
+``decode_batch`` exists purely for speed (one inverse and one GF matmul
+per erasure-pattern / shard-size class instead of one per object) and
+``encode_batch`` is ``encode`` per object, so their contract is
+byte-identity with ``encode``/``decode`` — including degraded
+decode-from-survivors.  Hypothesis drives random profiles,
 object counts, lengths, and erasure patterns through both paths.
 """
 
