@@ -301,6 +301,22 @@ def test_rbd_ec_image_block_granularity():
         run(env, img.write(100, b"partial"))
 
 
+def test_rbd_ec_multi_object_direct_write():
+    """A direct write over three EC objects encodes each object in its
+    own leg; one that starts inside an object raises before any leg."""
+    env, cluster = small_cluster()
+    pool = cluster.create_erasure_pool("ec", pg_num=32, k=2, m=1)
+    client = cluster.new_client()
+    img = RBDImage("vol", kib(64), pool, client, object_size=4096, direct=True)
+    blocks = [bytes([i]) * 4096 for i in (1, 2, 3)]
+    run(env, img.write(8192, b"".join(blocks)))
+    for i, block in enumerate(blocks):
+        assert run(env, img.read(8192 + 4096 * i, 4096)) == block
+    assert run(env, img.read(8192, 3 * 4096)) == b"".join(blocks)
+    with pytest.raises(StorageError):
+        run(env, img.write(100, bytes(8192)))
+
+
 def test_rbd_validation():
     env, cluster = small_cluster()
     pool = cluster.create_replicated_pool("rbd", pg_num=32, size=2)
