@@ -6,7 +6,8 @@ original.  This is the algorithm behind Ceph EC pools and the workload
 of the paper's Reed-Solomon RTL accelerator (Table I).
 
 Encoding is a GF matrix multiply over the shard rows; decoding inverts
-the surviving rows of the generator matrix (Gauss-Jordan) and re-multiplies.
+the surviving rows of the generator matrix (Gauss-Jordan, once per
+erasure pattern) and re-multiplies.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class ReedSolomon:
             self.generator = systematic_cauchy(k, m)
         #: The parity rows of the generator, as Python ints for the kernel.
         self._parity = self.generator[k:].tolist()
+        #: (surviving shard indexes, rebuilt shard or None) -> decode rows.
+        self._decoders: dict[tuple[tuple[int, ...], Optional[int]], list[list[int]]] = {}
         #: XOR byte operations performed (profiling hook for the cost model)
         self.bytes_processed = 0
 
@@ -82,10 +85,6 @@ class ReedSolomon:
         flat = np.frombuffer(data, dtype=np.uint8)
         buf.reshape(-1)[: len(flat)] = flat
         return buf
-
-    def join(self, shards: np.ndarray, data_len: int) -> bytes:
-        """(k, shard_size) data shards -> original bytes."""
-        return shards.reshape(-1)[:data_len].tobytes()
 
     # -- encode / decode ------------------------------------------------------------
 
@@ -118,56 +117,36 @@ class ReedSolomon:
     def decode_batch(
         self, shard_sets: Sequence[Sequence[Optional[bytes]]], data_lens: Sequence[int]
     ) -> list[bytes]:
-        """Decode many objects, sharing one inverse + matmul per erasure
-        pattern and shard-size class.
+        """Decode many objects: :meth:`decode` per object.
 
-        Objects whose surviving-shard pattern and shard size match are
-        decoded together: the (k, k) sub-generator is inverted once and
-        applied to the side-by-side packed survivors in a single
-        multiply.  Byte-identical to per-object :meth:`decode`, including
-        degraded decode-from-survivors.
+        Each erasure pattern's inverse is memoized per codec, and the
+        byte kernel costs about the same per byte at any row length, so
+        packing objects side by side into one product saves nothing.
         """
         if len(shard_sets) != len(data_lens):
             raise ErasureCodingError(
                 f"{len(shard_sets)} shard sets but {len(data_lens)} lengths"
             )
-        n = self.profile.n
-        out: list[Optional[bytes]] = [None] * len(shard_sets)
-        groups: dict[tuple[tuple[int, ...], int], list[int]] = {}
-        for i, shards in enumerate(shard_sets):
-            if len(shards) != n:
-                raise ErasureCodingError(f"expected {n} shard slots, got {len(shards)}")
-            present = tuple(j for j, s in enumerate(shards) if s is not None)
-            if len(present) < self.k:
-                raise DecodeError(
-                    f"unrecoverable: {len(present)} shards survive but k={self.k} required"
-                )
-            size = len(shard_sets[i][present[0]])
-            groups.setdefault((present, size), []).append(i)
-        for (present, size), idxs in groups.items():
-            if all(j < self.k for j in present[: self.k]):
-                # All data shards intact: reassembly only, no field math.
-                for i in idxs:
-                    rows = np.stack(
-                        [np.frombuffer(shard_sets[i][j], dtype=np.uint8) for j in range(self.k)]
-                    )
-                    out[i] = self.join(rows, data_lens[i])
-                continue
-            use = list(present[: self.k])
-            inv = gauss_jordan_invert(self.generator[use])
-            packed = np.empty((self.k, size * len(idxs)), dtype=np.uint8)
-            for col, i in enumerate(idxs):
-                for row, j in enumerate(use):
-                    packed[row, col * size : (col + 1) * size] = np.frombuffer(
-                        shard_sets[i][j], dtype=np.uint8
-                    )
-            data_rows = gf_matmul(inv, packed)
-            self.bytes_processed += packed.size * 2
-            for col, i in enumerate(idxs):
-                out[i] = self.join(
-                    data_rows[:, col * size : (col + 1) * size], data_lens[i]
-                )
-        return out  # type: ignore[return-value]
+        return [self.decode(shards, n) for shards, n in zip(shard_sets, data_lens)]
+
+    def _decoder(self, use: tuple[int, ...], index: Optional[int] = None) -> list[list[int]]:
+        """Coefficient rows mapping the shards ``use`` to the k data rows
+        (``index`` None) or to the single shard ``index``.
+
+        The inverse of the generator rows ``use`` is computed once per
+        erasure pattern; a single shard's row is the generator row times
+        that inverse, so rebuilding it takes one product row, not k.
+        """
+        key = (use, index)
+        rows = self._decoders.get(key)
+        if rows is None:
+            if index is None:
+                rows = gauss_jordan_invert(self.generator[list(use)]).tolist()
+            else:
+                inverse = [bytes(row) for row in self._decoder(use)]
+                rows = [list(gf_matmul_rows([self.generator[index].tolist()], inverse)[0])]
+            self._decoders[key] = rows
+        return rows
 
     def decode(self, shards: Sequence[Optional[bytes]], data_len: int) -> bytes:
         """Reconstruct the object from any >= k surviving shards.
@@ -184,19 +163,14 @@ class ReedSolomon:
             raise DecodeError(
                 f"unrecoverable: {len(present)} shards survive but k={self.k} required"
             )
-        # Fast path: all data shards intact.
-        if all(shards[i] is not None for i in range(self.k)):
-            data_rows = np.stack(
-                [np.frombuffer(shards[i], dtype=np.uint8) for i in range(self.k)]
-            )
-            return self.join(data_rows, data_len)
-        use = present[: self.k]
-        sub = self.generator[use]  # (k, k) rows of surviving shards
-        inv = gauss_jordan_invert(sub)
-        survivors = np.stack([np.frombuffer(shards[i], dtype=np.uint8) for i in use])
-        data_rows = gf_matmul(inv, survivors)
-        self.bytes_processed += survivors.size * 2
-        return self.join(data_rows, data_len)
+        use = tuple(present[: self.k])
+        if use[-1] == self.k - 1:
+            # The first k survivors are the data shards: reassembly only.
+            return b"".join(shards[: self.k])[:data_len]
+        survivors = [shards[i] for i in use]
+        data_rows = gf_matmul_rows(self._decoder(use), survivors)
+        self.bytes_processed += 2 * self.k * len(survivors[0])
+        return b"".join(data_rows)[:data_len]
 
     def reconstruct_shard(self, shards: Sequence[Optional[bytes]], index: int) -> bytes:
         """Rebuild a single lost shard (the recovery-path primitive)."""
@@ -210,12 +184,8 @@ class ReedSolomon:
             raise DecodeError(
                 f"unrecoverable shard {index}: only {len(present)} survive, k={self.k}"
             )
-        use = present[: self.k]
-        inv = gauss_jordan_invert(self.generator[use])
-        survivors = np.stack([np.frombuffer(shards[i], dtype=np.uint8) for i in use])
-        data_rows = gf_matmul(inv, survivors)
-        row = gf_matmul(self.generator[index : index + 1], data_rows)
-        return bytes(row[0])
+        use = tuple(present[: self.k])
+        return gf_matmul_rows(self._decoder(use, index), [shards[i] for i in use])[0]
 
     def __repr__(self) -> str:
         return f"<ReedSolomon k={self.k} m={self.m} {self.profile.technique}>"

@@ -6,7 +6,9 @@ it, and a matrix product that runs either as one broadcasted gather and
 XOR reduction over an (m, k, blocksize) intermediate or, above
 ``_MATMUL_BROADCAST_LIMIT`` bytes of it, as a loop of axpy calls.  The
 property in ``test_ec_gf256.py`` requires the translate-table kernel to
-equal both paths.
+equal both paths.  ``reference_decode`` and ``reference_shard`` decode
+the way ``ReedSolomon`` did before it memoized inverses: invert the
+survivors' generator rows on every call, then multiply.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ec.gf256 import _EXP, _LOG
+from repro.ec.matrix import gauss_jordan_invert
 
 #: Above this (m * k * blocksize) byte budget the broadcasted path's
 #: intermediate would thrash caches; the axpy loop runs instead.
@@ -61,3 +64,23 @@ def reference_matmul(mat, data, broadcast_limit: int = _MATMUL_BROADCAST_LIMIT) 
     nonzero = (mat != 0)[:, :, None] & (data != 0)[None, :, :]
     prod &= np.where(nonzero, np.uint8(0xFF), np.uint8(0))
     return np.bitwise_xor.reduce(prod, axis=1)
+
+
+def _reference_data_rows(codec, shards) -> np.ndarray:
+    """The k data rows, from the generator rows of the first k survivors
+    inverted and multiplied by :func:`reference_matmul`, no fast path."""
+    use = [i for i, s in enumerate(shards) if s is not None][: codec.k]
+    inverse = gauss_jordan_invert(codec.generator[use])
+    survivors = np.stack([np.frombuffer(shards[i], dtype=np.uint8) for i in use])
+    return reference_matmul(inverse, survivors)
+
+
+def reference_decode(codec, shards, data_len: int) -> bytes:
+    """Object bytes from any k surviving shards of ``codec``."""
+    return _reference_data_rows(codec, shards).reshape(-1)[:data_len].tobytes()
+
+
+def reference_shard(codec, shards, index: int) -> bytes:
+    """Shard ``index`` re-encoded from the decoded data rows."""
+    rows = _reference_data_rows(codec, shards)
+    return reference_matmul(codec.generator[index : index + 1], rows)[0].tobytes()

@@ -1,10 +1,8 @@
 """Differential tests: batched EC encode/decode vs the per-stripe paths.
 
-``decode_batch`` exists purely for speed (one inverse and one GF matmul
-per erasure-pattern / shard-size class instead of one per object) and
-``encode_batch`` is ``encode`` per object, so their contract is
-byte-identity with ``encode``/``decode`` — including degraded
-decode-from-survivors.  Hypothesis drives random profiles,
+``encode_batch`` and ``decode_batch`` are ``encode`` and ``decode`` per
+object, so their contract is byte-identity with ``encode``/``decode`` —
+including degraded decode-from-survivors.  Hypothesis drives random profiles,
 object counts, lengths, and erasure patterns through both paths.
 """
 
@@ -73,8 +71,8 @@ def test_decode_batch_matches_per_stripe_decode(case):
 
 
 def test_decode_batch_mixed_patterns_share_group_math():
-    """Objects with identical erasure patterns are decoded through one
-    shared inverse; interleave several patterns to cross the grouping."""
+    """Objects with identical erasure patterns share the codec's memoized
+    inverse; interleave several patterns so each is looked up again."""
     codec = ReedSolomon(4, 2)
     objects = [bytes([i]) * (40 + i) for i in range(9)]
     lengths = [len(o) for o in objects]

@@ -17,6 +17,8 @@ from repro.ec import (
 )
 from repro.errors import DecodeError, ErasureCodingError
 
+from .ec_reference import reference_decode, reference_shard
+
 
 # --- generator matrices ---------------------------------------------------------
 
@@ -149,6 +151,58 @@ def test_roundtrip_property_random_erasures(data, seed):
     lost = rng.choice(6, size=2, replace=False)
     damaged = [None if i in lost else s for i, s in enumerate(shards)]
     assert rs.decode(damaged, len(data)) == data
+
+
+@st.composite
+def erasure_cases(draw):
+    """A codec, objects (lengths 0 and 1 drawn often), and each object's
+    full shards plus a copy with up to m of them erased."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 4))
+    codec = ReedSolomon(k, m, draw(st.sampled_from(["vandermonde", "cauchy"])))
+    objects = draw(
+        st.lists(st.one_of(st.binary(max_size=1), st.binary(max_size=600)), min_size=1, max_size=6)
+    )
+    cases = []
+    for data in objects:
+        shards = codec.encode(data)
+        lost = draw(st.sets(st.integers(0, k + m - 1), max_size=m))
+        cases.append((data, shards, [None if i in lost else s for i, s in enumerate(shards)]))
+    return codec, cases
+
+
+@given(erasure_cases())
+@settings(max_examples=200, deadline=None)
+def test_decode_paths_match_the_inverse_reference(case):
+    """decode, decode_batch and reconstruct_shard (memoized inverses, the
+    byte kernel on the shard bytes) equal an invert-then-multiply NumPy
+    decode, and bytes_processed counts 2 * k * shard size per degraded
+    decode and nothing for intact decodes or shard rebuilds."""
+    codec, cases = case
+    k = codec.k
+    degraded = sum(
+        2 * k * codec.shard_size(len(data))
+        for data, _, damaged in cases
+        if any(s is None for s in damaged[:k])
+    )
+    before = codec.bytes_processed
+    for data, _, damaged in cases:
+        assert reference_decode(codec, damaged, len(data)) == data
+        assert codec.decode(damaged, len(data)) == data
+    assert codec.bytes_processed - before == degraded
+    before = codec.bytes_processed
+    damaged_sets = [damaged for _, _, damaged in cases]
+    lengths = [len(data) for data, _, _ in cases]
+    assert codec.decode_batch(damaged_sets, lengths) == [data for data, _, _ in cases]
+    assert codec.bytes_processed - before == degraded
+    before = codec.bytes_processed
+    for _, shards, damaged in cases:
+        for index, shard in enumerate(shards):
+            rebuilt = codec.reconstruct_shard(damaged, index)
+            assert rebuilt == shard
+            if damaged[index] is None:
+                assert rebuilt == reference_shard(codec, damaged, index)
+    assert codec.bytes_processed == before
 
 
 def test_empty_object():
