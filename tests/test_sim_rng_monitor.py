@@ -39,6 +39,14 @@ def test_lognormal_ns_mean_close():
     assert min(samples) >= 1
 
 
+def test_lognormal_ns_memoized_mu_keeps_every_draw():
+    a = RngRegistry(3).stream("svc")
+    b = RngRegistry(3).stream("svc")
+    for mean, sigma in [(10_000, 0.1), (250.5, 0.3), (10_000, 0.1), (7, 0.05)] * 3:
+        mu = float(np.log(mean)) - 0.5 * sigma * sigma
+        assert a.lognormal_ns(mean, sigma) == max(1, int(round(b.py.lognormvariate(mu, sigma))))
+
+
 def test_lognormal_ns_zero_mean():
     s = RngRegistry(7).stream("svc")
     assert s.lognormal_ns(0) == 0
