@@ -121,7 +121,7 @@ def _build(seed: int, pool_kind: str):
         osd_config=OsdConfig(subop_timeout_ns=ms(1)),
         # More adversarial than the defaults: tear as often as we
         # persist, so the checksum/healing paths get real coverage.
-        durability=DurabilityConfig(persist_p=0.35, tear_p=0.35),
+        durability=DurabilityConfig(persist_p=0.35, tear_p=0.35, record_events=True),
         seed=seed,
     )
     cluster = build_cluster(env, spec, metrics=metrics)
