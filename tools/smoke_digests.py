@@ -43,6 +43,10 @@ ROWS = (
     ("health-smoke", ["smoke", "health"], ("health-report.json",)),
     ("experiment-table2", ["experiment", "table2"], ()),
     ("experiment-fig7", ["experiment", "fig7"], ()),
+    # The only rows that run the NBD and UIFD host-CPU stages (the D2-sw
+    # and D-K-sw stacks).
+    ("experiment-fig3", ["experiment", "fig3"], ()),
+    ("experiment-fig4", ["experiment", "fig4"], ()),
     ("trace-export", ["trace", "--export", "trace.json"], ("trace.json",)),
     ("profile-smoke", ["smoke", "profile"], ("profile-trace.json", "profile.folded")),
     # Stock Ceph's primary-mediated ops: the replicated row sends `write`
