@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..blk import IoOp, Request
+from ..blk import Request
+from ..errors import StorageError
 from ..host import HostKernel
 from ..osd.rbd import RBDImage
 from ..sim import Environment
 from ..units import us
-from .placement_cost import charge_sw_placement
+from .datapath import BlockDriver
 
 
 @dataclass
@@ -29,8 +30,10 @@ class RbdKmodConfig:
     sw_placement_ns: int = us(48)
 
 
-class RbdKmodDriver:
+class RbdKmodDriver(BlockDriver):
     """blk-mq driver backed by the in-kernel Ceph client."""
+
+    name = "rbd"
 
     def __init__(
         self,
@@ -39,31 +42,22 @@ class RbdKmodDriver:
         image: RBDImage,
         config: Optional[RbdKmodConfig] = None,
     ):
-        self.env = env
-        self.kernel = kernel
-        self.image = image
-        image.direct = False  # primary-mediated, like stock Ceph
-        self.config = config or RbdKmodConfig()
-        self.core = kernel.cpus.pick_core()
-        self.requests_completed = 0
+        # Primary-mediated, like stock Ceph: the primary OSD replicates
+        # or encodes, so the client does no encode of its own.
+        super().__init__(env, kernel, image, config or RbdKmodConfig(), direct=False)
 
     def queue_rq(self, request: Request) -> None:
         """blk-mq driver entry point."""
         self.env.process(self._handle(request), name=f"rbd.rq{request.req_id}")
 
     def _handle(self, request: Request) -> Generator:
+        t0 = self.env.now
+        root = request.obs_span
         yield from self.core.run(self.config.driver_cost_ns)
-        yield from charge_sw_placement(
-            self.core, self.image, request, self.config.sw_placement_ns, cached=False
-        )
-        offset = request.bios[0].offset
-        if request.op == IoOp.WRITE:
-            data = request.data() or b"\x00" * request.size
-            yield from self.image.write(
-                offset, data, sequential=request.sequential, tenant=request.tenant
-            )
-        else:
-            yield from self.image.read(offset, request.size, tenant=request.tenant)
-        request.completed_at = self.env.now
-        self.requests_completed += 1
-        request.completion.succeed(request)
+        error = None
+        try:
+            yield from self._place_on_host(request, root)
+            yield from self._image_io(request, root)
+        except StorageError as exc:
+            error = exc
+        self._complete(request, t0, error)

@@ -22,17 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from ..blk import IoOp, Request
-from ..errors import DriverError, StorageError
+from ..blk import Request
+from ..errors import StorageError
 from ..fpga.accelerators import Accelerator
-from ..fpga.qdma import QdmaEngine, QueuePurpose, QueueSet
+from ..fpga.qdma import QdmaEngine
 from ..host import HostKernel
-from ..obs.context import NULL_SPAN
-from ..osd.osdmap import PoolType
 from ..osd.rbd import RBDImage
-from ..sim import NULL_METRICS, Environment
+from ..sim import Environment
 from ..units import us
-from .placement_cost import charge_sw_placement
+from .datapath import BlockDriver
 
 
 @dataclass
@@ -57,8 +55,12 @@ class UifdConfig:
     client_fanout: bool = True
 
 
-class UifdDriver:
+class UifdDriver(BlockDriver):
     """One driver instance bound to one RBD image (one virtual disk)."""
+
+    name = "uifd"
+    #: UIFD keeps a per-epoch placement cache.
+    placement_cached = True
 
     def __init__(
         self,
@@ -73,39 +75,16 @@ class UifdDriver:
         hardware: bool = True,
         metrics=None,
     ):
-        self.env = env
-        self.kernel = kernel
-        metrics = metrics or NULL_METRICS
-        self._m_requests = metrics.counter("driver.uifd.requests")
-        self._m_request_ns = metrics.latency("driver.uifd.request_ns")
-        self._m_placements = metrics.counter("driver.uifd.placements")
-        self._m_errors = metrics.counter("driver.uifd.request_errors")
-        self.image = image
-        self.config = config or UifdConfig()
-        self.hardware = hardware
-        # The stack's op topology, fixed for every backend op of this
-        # image: the FPGA always fans out; software mode follows
-        # ``client_fanout``.
-        image.direct = hardware or self.config.client_fanout
-        self.function = function
-        self.qdma = qdma
-        self.crush_accel = crush_accel
-        self.ec_accel = ec_accel
-        if hardware:
-            if qdma is None or crush_accel is None:
-                raise DriverError("hardware mode needs a QDMA engine and a CRUSH accelerator")
-            purpose = (
-                QueuePurpose.ERASURE_CODING
-                if image.pool.pool_type == PoolType.ERASURE
-                else QueuePurpose.REPLICATION
-            )
-            self.queue: Optional[QueueSet] = qdma.allocate_queue(purpose, function)
-            if image.pool.pool_type == PoolType.ERASURE and ec_accel is None:
-                raise DriverError("hardware mode on an EC pool needs the RS accelerator")
-        else:
-            self.queue = None
-        self.core = kernel.cpus.pick_core()
-        self.requests_completed = 0
+        config = config or UifdConfig()
+        # The FPGA always fans out; software mode follows client_fanout.
+        super().__init__(
+            env, kernel, image, config, direct=hardware or config.client_fanout,
+            hardware=hardware, qdma=qdma, crush_accel=crush_accel, ec_accel=ec_accel,
+            function=function, metrics=metrics,
+        )
+        # Client-side encode only when the client fans out itself; through
+        # the primary, the OSD encodes and charges its own cost.
+        self._encode_ns = config.sw_ec_encode_ns if config.client_fanout else 0
 
     # -- blk-mq driver contract ---------------------------------------------------
 
@@ -119,94 +98,15 @@ class UifdDriver:
         yield from self.core.run(self.config.driver_cost_ns)
         # Driver CPU: descriptor build, doorbell, unmap.
         root.record("uifd", "driver", t0, self.env.now)
+        error = None
         try:
             if self.hardware:
-                yield from self._handle_hw(request, root)
+                yield from self._offload(request, root)
             else:
-                yield from self._handle_sw(request, root)
+                yield from self._place_on_host(request, root, self._encode_ns)
+            yield from self._image_io(request, root)
+            if self.hardware and not self.config.polled_completion:
+                yield from self.kernel.interrupt(self.core)
         except StorageError as exc:
-            # Never strand the request: complete it with a BLK_STS_*
-            # status so the CQE surfaces a negative errno instead of the
-            # waiter hanging on an event nobody will fire.
-            request.fail_from_exc(exc)
-            self._m_errors.add()
-        request.completed_at = self.env.now
-        self.requests_completed += 1
-        self._m_requests.add()
-        self._m_request_ns.record(self.env.now - t0)
-        request.completion.succeed(request)
-
-    # -- hardware datapath ------------------------------------------------------------
-
-    def _objects_touched(self, request: Request) -> int:
-        """How many RADOS objects the request spans (placement ops needed)."""
-        first = request.bios[0].offset // self.image.object_size
-        last = (request.bios[0].offset + request.size - 1) // self.image.object_size
-        return last - first + 1
-
-    def _handle_hw(self, request: Request, ctx=NULL_SPAN) -> Generator:
-        is_ec = self.image.pool.pool_type == PoolType.ERASURE
-        if request.op == IoOp.WRITE:
-            # Payload DMA to the card before the FPGA fans it out.
-            t0 = self.env.now
-            yield from self.qdma.h2c_transfer(self.queue, request.size)
-            ctx.record("qdma", "dma", t0, self.env.now, dir="h2c")
-        # In-datapath CRUSH placement: pipelined, one item per object.
-        t0 = self.env.now
-        objects = self._objects_touched(request)
-        self._m_placements.add(objects)
-        yield from self.crush_accel.process(objects)
-        if is_ec and request.op == IoOp.WRITE:
-            # RS encoder streams the payload in 32 B beats.
-            yield from self.ec_accel.process(max(1, request.size // 32))
-        ctx.record("accel", "compute", t0, self.env.now, objects=objects)
-        fab = ctx.child("fabric", "net")
-        ok = False
-        try:
-            yield from self._image_io(request, ctx=fab)
-            ok = True
-        finally:
-            fab.finish(ok=ok)
-        if request.op == IoOp.READ:
-            t0 = self.env.now
-            yield from self.qdma.c2h_transfer(self.queue, request.size)
-            ctx.record("qdma", "dma", t0, self.env.now, dir="c2h")
-        if not self.config.polled_completion:
-            yield from self.kernel.interrupt(self.core)
-
-    # -- software baseline --------------------------------------------------------------
-
-    def _handle_sw(self, request: Request, ctx=NULL_SPAN) -> Generator:
-        objects = self._objects_touched(request)
-        t0 = self.env.now
-        self._m_placements.add(objects)
-        yield from charge_sw_placement(
-            self.core, self.image, request, self.config.sw_placement_ns
-        )
-        fanout = self.config.client_fanout
-        if fanout and self.image.pool.pool_type == PoolType.ERASURE and request.op == IoOp.WRITE:
-            # Client-side encode (with direct=False the primary OSD
-            # encodes and charges its own cost instead).
-            yield from self.core.run(self.config.sw_ec_encode_ns * objects)
-        ctx.record("placement", "compute", t0, self.env.now, objects=objects)
-        fab = ctx.child("fabric", "net")
-        ok = False
-        try:
-            yield from self._image_io(request, ctx=fab)
-            ok = True
-        finally:
-            fab.finish(ok=ok)
-
-    # -- common ---------------------------------------------------------------------------
-
-    def _image_io(self, request: Request, ctx=NULL_SPAN) -> Generator:
-        offset = request.bios[0].offset
-        if request.op == IoOp.WRITE:
-            data = request.data()
-            if data is None:
-                data = b"\x00" * request.size
-            yield from self.image.write(
-                offset, data, sequential=request.sequential, ctx=ctx, tenant=request.tenant
-            )
-        else:
-            yield from self.image.read(offset, request.size, ctx=ctx, tenant=request.tenant)
+            error = exc
+        self._complete(request, t0, error)

@@ -308,10 +308,12 @@ def test_every_engine_accounts_completions_alike(engine_cls, driver_cls):
     assert blk.health.seen == [ok] * 10
 
 
-def test_sync_stack_counts_failed_ios_and_feeds_health():
-    """D2 (the sync engine) with every message lost: the 20 writes fail,
-    move no bytes, and reach the health layer's SLO tracking."""
-    fw = build_framework(framework_by_name("deliba2"), health=True)
+@pytest.mark.parametrize("framework", ["deliba2", "software-ceph"])
+def test_sync_stack_counts_failed_ios_and_feeds_health(framework):
+    """A sync-engine stack (D2 over NBD, software Ceph over the stock
+    driver) with every message lost: the 20 writes fail, move no bytes,
+    and reach the health layer's SLO tracking."""
+    fw = build_framework(framework_by_name(framework), health=True)
     fw.image.client.policy = OpPolicy(timeout_ns=ms(1), max_attempts=1)
     FaultInjector(fw.cluster).set_message_faults(drop_p=1.0)
     job = FioJob("lossy", "randwrite", bs=kib(4), iodepth=4, nrequests=20)
