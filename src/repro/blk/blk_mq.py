@@ -39,14 +39,9 @@ class BlkMqConfig:
     tags_per_queue: int = 256
     #: Fixed CPU per bio through submit (bio alloc, ctx lock, accounting).
     submit_cost_ns: int = 900
-    #: CPU on the completion path (softirq, bio_endio).
-    complete_cost_ns: int = 600
     scheduler: str = "mq-deadline"
     #: Attempt back-merging of contiguous bios in the plug list.
     merge_enabled: bool = True
-    #: Map each submitting core to hctx (core_id % num_hw_queues) when
-    #: True; a shared round-robin otherwise.
-    per_core_mapping: bool = True
 
 
 #: DeLiBA-K's DMQ: scheduler bypass + per-core queues + slim submit path.
@@ -54,10 +49,8 @@ DMQ_CONFIG = BlkMqConfig(
     num_hw_queues=28,
     tags_per_queue=2048,
     submit_cost_ns=350,
-    complete_cost_ns=250,
     scheduler="none",
     merge_enabled=False,
-    per_core_mapping=True,
 )
 
 
@@ -171,7 +164,6 @@ class BlockLayer:
             HardwareContext(env, i, self.config, queue_rq, metrics=self.metrics)
             for i in range(self.config.num_hw_queues)
         ]
-        self._rr = 0
         self.bios_submitted = 0
         self.merges = 0
         self._m_bios = self.metrics.counter("blk.bios_submitted")
@@ -181,23 +173,14 @@ class BlockLayer:
         self._plug: dict[int, dict[str, Request]] = {}
         #: Per-layer request ids (deterministic across runs in a process).
         self._req_ids = itertools.count(1)
-        #: core_id -> hctx memo (valid only under per_core_mapping).
-        self._hctx_cache: dict[int, HardwareContext] = {}
         #: Submit cost is uniform: every hctx runs the same scheduler type.
         self._submit_cost_ns = (
             self.config.submit_cost_ns + self.hctxs[0].scheduler.insert_cost_ns
         )
 
     def _hctx_for(self, core: CpuCore) -> HardwareContext:
-        if self.config.per_core_mapping:
-            hctx = self._hctx_cache.get(core.core_id)
-            if hctx is None:
-                hctx = self.hctxs[core.core_id % len(self.hctxs)]
-                self._hctx_cache[core.core_id] = hctx
-            return hctx
-        hctx = self.hctxs[self._rr % len(self.hctxs)]
-        self._rr += 1
-        return hctx
+        """The submitting core's own hctx (core_id % num_hw_queues)."""
+        return self.hctxs[core.core_id % len(self.hctxs)]
 
     def _plug_for(self, core_id: int) -> dict[str, Request]:
         plugged = self._plug.get(core_id)
@@ -219,27 +202,10 @@ class BlockLayer:
         """
         self.bios_submitted += 1
         self._m_bios.add()
-        config = self.config
-        if config.per_core_mapping and config.merge_enabled:
-            # Merged-bio fast path: with per-core mapping the hctx is a
-            # pure function of the core (no shared round-robin cursor to
-            # advance), so a plug hit needs no hctx lookup at all.
-            yield from core.run(self._submit_cost_ns)
-            plugged = self._plug_for(core.core_id)
-            last = plugged.get(bio.op.value)
-            if last is not None and last.dispatched_at < 0 and last.can_merge(bio):
-                self._merge(last, bio)
-                return last
-            if last is not None:
-                self._hctx_for(core).insert(last)  # evict the plugged request
+        yield from core.run(self._submit_cost_ns)
+        if not self.config.merge_enabled:
             request = self._new_request(bio)
-            plugged[bio.op.value] = request
-            return request
-        hctx = self._hctx_for(core)
-        yield from core.run(config.submit_cost_ns + hctx.scheduler.insert_cost_ns)
-        if not config.merge_enabled:
-            request = self._new_request(bio)
-            hctx.insert(request)
+            self._hctx_for(core).insert(request)
             return request
         plugged = self._plug_for(core.core_id)
         last = plugged.get(bio.op.value)
@@ -247,7 +213,7 @@ class BlockLayer:
             self._merge(last, bio)
             return last
         if last is not None:
-            hctx.insert(last)  # evict the previous plugged request
+            self._hctx_for(core).insert(last)  # evict the plugged request
         request = self._new_request(bio)
         plugged[bio.op.value] = request
         return request
@@ -282,11 +248,9 @@ class BlockLayer:
         plugged = self._plug.get(core.core_id)
         if not plugged:
             return
+        hctx = self._hctx_for(core)
         for op in list(plugged):
-            request = plugged.pop(op)
-            # One _hctx_for call per flushed request, matching the submit
-            # path (in round-robin mode the call advances the cursor).
-            self._hctx_for(core).insert(request)
+            hctx.insert(plugged.pop(op))
 
     def total_dispatched(self) -> int:
         """Requests handed to the driver so far."""

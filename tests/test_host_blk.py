@@ -289,7 +289,7 @@ def test_tag_exhaustion_backpressure():
 
 def test_per_core_hctx_mapping():
     env, kernel, blk, driver = make_stack(
-        BlkMqConfig(num_hw_queues=4, per_core_mapping=True, scheduler="none", merge_enabled=False)
+        BlkMqConfig(num_hw_queues=4, scheduler="none", merge_enabled=False)
     )
     run_bios(env, kernel, blk, [Bio(IoOp.READ, 0, 4096)], core_id=2)
     assert blk.hctxs[2].dispatched == 1
