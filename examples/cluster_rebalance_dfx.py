@@ -16,15 +16,21 @@ Run:  python examples/cluster_rebalance_dfx.py
 
 from repro.fpga import AlveoU280, DfxController, build_deliba_k_rms, pr_verify
 from repro.osd import ClusterSpec, build_cluster
-from repro.sim import Environment
+from repro.sim import Environment, MetricsRegistry
 from repro.units import to_ms
 
 
 def main() -> None:
     env = Environment()
-    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=4))
+    metrics = MetricsRegistry()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=4), metrics=metrics)
     pool = cluster.create_replicated_pool("rbd", pg_num=64, size=3)
     client = cluster.new_client()
+    # Online recovery: every epoch bump re-peers the PGs and backfills
+    # missing copies in the background.
+    recovery = cluster.enable_recovery()
+    pushed = metrics.counter("recovery.bytes_pushed")
+    recovered = metrics.counter("recovery.objects_recovered")
 
     # The FPGA side: one reconfigurable partition in SLR0, three RMs.
     device = AlveoU280()
@@ -49,9 +55,9 @@ def main() -> None:
         cluster.fail_osd(victim)
         print(f"[{to_ms(env.now):8.1f} ms] osd.{victim} failed "
               f"(epoch {cluster.osdmap.epoch})")
-        stats = yield from cluster.monitor.recover_pool(pool, cluster.any_live_daemon())
-        print(f"[{to_ms(env.now):8.1f} ms] recovery: {stats.objects_recovered} objects "
-              f"re-replicated, {stats.bytes_moved} bytes moved")
+        yield from recovery.wait_converged()
+        print(f"[{to_ms(env.now):8.1f} ms] recovery: {recovered.value} objects "
+              f"re-replicated, {pushed.value} bytes moved")
 
         # Shrinking/heterogeneous cluster -> tree bucket accelerator.
         swap_ns = dfx.reconfiguration_ns("rm2_tree")
@@ -60,12 +66,14 @@ def main() -> None:
               f"took {to_ms(swap_ns):.1f} ms (static region kept running)")
 
         # Expansion: new device joins -> list bucket accelerator, and
-        # backfill moves the remapped objects onto the new OSD.
+        # backfill moves the remapped objects onto the new OSD (while the
+        # swap runs, so the byte count starts before the OSD joins).
+        before = pushed.value
         new = cluster.add_osd("server0")
         yield from dfx.reconfigure("rm1_list")
-        stats = yield from cluster.monitor.recover_pool(pool, cluster.any_live_daemon())
+        yield from recovery.wait_converged()
         print(f"[{to_ms(env.now):8.1f} ms] added osd.{new}; loaded "
-              f"{partition.active}; backfill moved {stats.bytes_moved} bytes")
+              f"{partition.active}; backfill moved {pushed.value - before} bytes")
 
         # Everything still readable after all the churn.
         ok = 0

@@ -4,19 +4,20 @@
 Demonstrates the EC substrate end to end: client-side Reed-Solomon
 encoding (the computation DeLiBA-K's RS accelerator offloads), shard
 placement via CRUSH indep rules, degraded reads after killing m OSDs,
-and full shard reconstruction — with byte-exact integrity checks.
+and online shard reconstruction — with byte-exact integrity checks.
 
 Run:  python examples/ec_durability.py
 """
 
 from repro.osd import ClusterSpec, build_cluster, shard_object_name
-from repro.sim import Environment
+from repro.sim import Environment, MetricsRegistry
 from repro.units import to_ms
 
 
 def main() -> None:
     env = Environment()
-    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=6))
+    metrics = MetricsRegistry()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=6), metrics=metrics)
     k, m = 4, 2
     pool = cluster.create_erasure_pool("ecpool", pg_num=64, k=k, m=m)
     client = cluster.new_client()
@@ -33,7 +34,9 @@ def main() -> None:
         print(f"          storage overhead {overhead:.2f}x "
               "(vs 3.00x for 3-way replication)")
 
-        # Kill m OSDs holding shards.
+        # Kill m OSDs holding shards.  Online recovery is on first, so
+        # each epoch bump re-peers the PG and backfills in the background.
+        recovery = cluster.enable_recovery()
         for osd in acting[:m]:
             cluster.fail_osd(osd)
         print(f"[{to_ms(env.now):7.2f} ms] failed OSDs {acting[:m]} "
@@ -44,10 +47,11 @@ def main() -> None:
         assert data == payload, "degraded read corrupted data!"
         print(f"[{to_ms(env.now):7.2f} ms] degraded read OK (byte-exact)")
 
-        # Recovery: reconstruct the lost shards onto the new acting set.
-        stats = yield from cluster.monitor.recover_pool(pool, cluster.any_live_daemon())
-        print(f"[{to_ms(env.now):7.2f} ms] recovery moved {stats.bytes_moved} B "
-              f"for {stats.objects_recovered} object(s)")
+        # Recovery: the lost shards are rebuilt onto the new acting set.
+        yield from recovery.wait_converged()
+        print(f"[{to_ms(env.now):7.2f} ms] recovery moved "
+              f"{metrics.counter('recovery.bytes_pushed').value} B "
+              f"for {metrics.counter('recovery.objects_recovered').value} object(s)")
 
         # All k+m shards exist again on live OSDs.
         live = [d for d in cluster.daemons.values() if cluster.osdmap.osds[d.osd_id].up]

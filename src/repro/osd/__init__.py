@@ -11,7 +11,7 @@ from .faults import FaultInjector
 from .scrub import Inconsistency, ScrubReport, Scrubber
 from .cluster import CephCluster, ClusterSpec, build_cluster
 from .fabric import Envelope, Fabric, MessageFaults, Messenger
-from .monitor import Monitor, RecoveryStats
+from .monitor import Monitor
 from .policy import DEFAULT_POLICY, OpPolicy
 from .objects import ObjectStore
 from .ops import OP_HEADER_BYTES, OpKind, OsdOp, OsdReply
@@ -83,7 +83,6 @@ __all__ = [
     "RecoveryManager",
     "RBDImage",
     "RadosClient",
-    "RecoveryStats",
     "SATA_SSD",
     "StorageDevice",
     "WalRecord",

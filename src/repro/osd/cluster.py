@@ -294,12 +294,6 @@ class CephCluster:
             self.recovery.kick()
         return stats
 
-    def any_live_daemon(self) -> OsdDaemon:
-        """A live daemon usable as recovery helper."""
-        for osd_id in self.osdmap.up_osds():
-            return self.daemons[osd_id]
-        raise StorageError("no live OSDs")
-
     # -- stats ----------------------------------------------------------------------
 
     def total_ops_served(self) -> int:

@@ -1,43 +1,29 @@
-"""The monitor: cluster membership authority and recovery coordinator.
+"""The monitor: cluster membership authority.
 
-Publishes OSDMap epochs; on failure it marks the OSD down+out (bumping
-the epoch so client placement caches invalidate) and can drive recovery:
-re-replicating / reconstructing the objects the lost OSD held onto the
-new acting sets.
+Publishes OSDMap epochs; on failure it marks the OSD down+out, bumping
+the epoch so client placement caches invalidate.  Recovery watches those
+epochs: :mod:`repro.osd.recovery` re-peers every remapped PG and
+backfills the lost copies onto the new acting sets.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Generator
 
-from ..crush import CRUSH_ITEM_NONE, PlacementEngine
 from ..errors import StorageError
 from ..sim import NULL_METRICS, Environment
 from .ops import OpKind, OsdOp
-from .osd import OsdDaemon, shard_object_name
+from .osd import OsdDaemon
 from .qos import CLASS_SYSTEM, QosTag
-from .osdmap import OSDMap, Pool, PoolType
+from .osdmap import OSDMap
 
 #: Most recent failure detections remembered (bounded: a long chaos run
 #: with flapping links must not grow monitor state without limit).
 FAILURES_DETECTED_CAP = 1024
 
 
-@dataclass
-class RecoveryStats:
-    """Outcome of one recovery pass."""
-
-    objects_examined: int = 0
-    objects_recovered: int = 0
-    bytes_moved: int = 0
-    #: EC objects skipped because fewer than k shards survive anywhere.
-    unrecoverable: int = 0
-
-
 class Monitor:
-    """Membership and recovery controller.
+    """Membership controller.
 
     When given a fabric messenger (the ``mon`` entity), the monitor can
     run **heartbeats**: periodic PING ops to every up OSD; an OSD that
@@ -154,105 +140,3 @@ class Monitor:
         daemon.start()
         self._suspect_since.pop(osd_id, None)
         self.osdmap.mark_up(osd_id)
-
-    def recover_pool(self, pool: Pool, helper_daemon: OsdDaemon) -> Generator:
-        """Process: restore full durability for every object in ``pool``.
-
-        ``helper_daemon`` is any live OSD used to perform reads/writes of
-        missing copies (a stand-in for Ceph's per-PG recovery agents).
-        Returns :class:`RecoveryStats`.
-        """
-        stats = RecoveryStats()
-        placement = PlacementEngine(self.osdmap.crush)
-        live = {o: self.daemons[o] for o in self.osdmap.up_osds()}
-        # Collect every logical object known to any live OSD in this pool.
-        names: set[str] = set()
-        for daemon in live.values():
-            for key in daemon.store.object_names():
-                base = key.split(".s")[0] if pool.pool_type == PoolType.ERASURE else key
-                names.add(base)
-        for name in sorted(names):
-            stats.objects_examined += 1
-            acting = placement.object_to_osds(
-                pool.pool_id, name, pool.pg_num, pool.rule, pool.size
-            )[1]
-            if pool.pool_type == PoolType.REPLICATED:
-                moved = yield from self._recover_replicated(name, acting, live, helper_daemon)
-            else:
-                moved = yield from self._recover_ec(
-                    pool, name, acting, live, helper_daemon, stats
-                )
-            if moved:
-                stats.objects_recovered += 1
-                stats.bytes_moved += moved
-        # A full pass restored every recoverable object, so revived-empty
-        # members are populated: absent now really means "never existed".
-        for daemon in live.values():
-            daemon.backfill_reserve = False
-        return stats
-
-    def _recover_replicated(self, name, acting, live, helper) -> Generator:
-        holders = [o for o in live if name in live[o].store]
-        if not holders:
-            return 0
-        source = holders[0]
-        data = live[source].store.read(name, 0, live[source].store.object_size(name))
-        moved = 0
-        for target in acting:
-            if target == CRUSH_ITEM_NONE or target in holders or target not in live:
-                continue
-            op = OsdOp(
-                OpKind.WRITE_DIRECT,
-                0,
-                name,
-                0,
-                len(data),
-                data=data,
-                epoch=self.osdmap.epoch,
-                qos=QosTag(svc=CLASS_SYSTEM),
-            )
-            yield from helper.call(f"osd.{target}", op)
-            moved += len(data)
-        return moved
-
-    def _recover_ec(self, pool: Pool, name, acting, live, helper, stats) -> Generator:
-        codec = helper.codec_for(pool.pool_id)
-        # Gather surviving shards from live OSDs.
-        shards: list = [None] * pool.size
-        for rank in range(pool.size):
-            key = shard_object_name(name, rank)
-            for osd_id, daemon in live.items():
-                if key in daemon.store:
-                    shards[rank] = daemon.store.read(key, 0, daemon.store.object_size(key))
-                    break
-        present = sum(1 for s in shards if s is not None)
-        if present < pool.k:
-            # Unrecoverable (fewer than k shards survive anywhere): skip
-            # and count rather than aborting the whole pass mid-pool.
-            stats.unrecoverable += 1
-            return 0
-        moved = 0
-        for rank, target in enumerate(acting):
-            if target == CRUSH_ITEM_NONE or target not in live:
-                continue
-            key = shard_object_name(name, rank)
-            if key in live[target].store:
-                continue
-            shard = shards[rank]
-            if shard is None:
-                shard = codec.reconstruct_shard(shards, rank)
-                shards[rank] = shard
-            op = OsdOp(
-                OpKind.SHARD_WRITE,
-                pool.pool_id,
-                name,
-                0,
-                len(shard),
-                data=shard,
-                shard=rank,
-                epoch=self.osdmap.epoch,
-                qos=QosTag(svc=CLASS_SYSTEM),
-            )
-            yield from helper.call(f"osd.{target}", op)
-            moved += len(shard)
-        return moved

@@ -1,9 +1,7 @@
 """Online self-healing: PG state machine, peering, and background recovery.
 
-Where :meth:`Monitor.recover_pool` is a stop-the-world helper that reads
-OSD stores directly (zero simulated time, zero fabric bytes), this
-subsystem keeps the cluster healing itself **while clients keep issuing
-IO**, the way Ceph does:
+The cluster's one recovery mechanism: it keeps the cluster healing
+itself **while clients keep issuing IO**, the way Ceph does:
 
 * Every OSDMap epoch bump re-derives each PG's acting set; a changed set
   sends the PG through ``peering -> backfilling -> recovered`` (or

@@ -226,9 +226,9 @@ def test_recovery_restores_replica_count():
     for i in range(10):
         run(env, client.write_replicated(pool, f"obj{i}", bytes([i]) * 256))
     victim = client.compute_placement(pool, "obj0")[0]
+    recovery = cluster.enable_recovery()
     cluster.fail_osd(victim)
-    stats = run(env, cluster.monitor.recover_pool(pool, cluster.any_live_daemon()))
-    assert stats.objects_examined == 10
+    run(env, recovery.wait_converged())
     # Every object readable and present on 3 live OSDs.
     for i in range(10):
         holders = [
@@ -247,11 +247,14 @@ def test_ec_recovery_reconstructs_lost_shards():
     for i in range(6):
         run(env, client.write_ec(pool, f"e{i}", data, direct=True))
     victim = client.compute_placement(pool, "e0")[0]
+    recovery = cluster.enable_recovery()
     cluster.fail_osd(victim)
-    stats = run(env, cluster.monitor.recover_pool(pool, cluster.any_live_daemon()))
-    assert stats.objects_examined == 6
-    # All objects fully readable afterwards.
+    run(env, recovery.wait_converged())
+    # Every shard rebuilt on its new acting member, and every object
+    # fully readable afterwards.
     for i in range(6):
+        for rank, osd_id in enumerate(client.compute_placement(pool, f"e{i}")):
+            assert shard_object_name(f"e{i}", rank) in cluster.daemons[osd_id].store
         assert run(env, client.read_ec(pool, f"e{i}", len(data), direct=True)) == data
 
 
