@@ -621,20 +621,23 @@ class WriteAheadLog:
                 ws.write(rec.key, rec.offset, rec.data)
                 versions[rec.key] = rec.version
             elif rec.kind == "commit":
-                ok = rec.extent_key in self.media and self.media.verify(rec.extent_key)
-                if ok:
-                    data = self.media.read(rec.extent_key, 0, rec.length)
-                    ok = hashlib.sha256(data).hexdigest() == rec.extent_checksum
-                if not ok:
-                    # Extent torn or lost: the commit never became
-                    # durable as a whole — skip it (unacked by
-                    # construction: ack follows the record *and* the
-                    # extent barrier, and both flushed => both durable).
+                # One digest decides: the record is durable only after its
+                # extent's barrier, so the extent it names cannot tear;
+                # an extent that is lost, or that now holds other bytes,
+                # fails the comparison with the record's payload digest.
+                if (
+                    rec.extent_key not in self.media
+                    or self.media.content_digest(rec.extent_key) != rec.extent_checksum
+                ):
+                    # The commit never became durable as a whole — skip
+                    # it (unacked by construction: ack follows the record
+                    # *and* the extent barrier, and both flushed => both
+                    # durable).
                     stats.commits_skipped += 1
                     continue
                 if rec.whole and rec.key in ws:
                     ws.delete(rec.key)
-                ws.write(rec.key, rec.offset, data)
+                ws.write(rec.key, rec.offset, self.media.read(rec.extent_key, 0, rec.length))
                 versions[rec.key] = rec.version
             elif rec.kind == "delete":
                 if rec.key in ws:

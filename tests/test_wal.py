@@ -7,6 +7,7 @@ import pytest
 from repro.bench import crashsim
 from repro.errors import StorageError
 from repro.osd import DurabilityConfig, NVME_SSD, StorageDevice, WalRecord, WriteAheadLog
+from repro.osd import objects as objects_module
 from repro.osd import wal as wal_module
 from repro.osd.faults import _scaled_profile
 from repro.osd.objects import ObjectStore
@@ -280,6 +281,26 @@ def test_durable_writes_hash_nothing_until_replay(monkeypatch):
     for _ in range(2):
         assert commit.valid and deferred.valid
     assert counter.calls == 3  # each digest once: extent, commit record, deferred record
+
+
+def test_replay_digests_a_pending_commit_once(monkeypatch):
+    # One comparison decides a commit record at replay: the media
+    # extent's content digest against the record's payload digest.  The
+    # media checksum check and a second read-and-hash of the extent are
+    # redundant (an acked record implies its extent was flushed).
+    counter = CountingHashlib()
+    monkeypatch.setattr(wal_module, "hashlib", counter)
+    monkeypatch.setattr(objects_module, "hashlib", counter)
+    env, device, owner, wal = make(with_rng=False)
+    payload = bytes(range(256)) * 512
+    run(env, wal.write("big", 0, payload, True, version=1))
+    assert wal.log[-1].kind == "commit"
+    wal.power_loss()  # drops the volatile install
+    counter.calls = 0
+    stats = wal.recover()
+    assert (stats.records_replayed, stats.commits_skipped) == (1, 0)
+    assert owner.store.read("big", 0, len(payload)) == payload
+    assert counter.calls == 3  # extent content, record payload digest, record seal
 
 
 def test_late_digests_equal_the_eager_formulas():
