@@ -140,8 +140,3 @@ class CacheConfig:
     def write_cost_ns(self, nbytes: int) -> int:
         """Service time of writing ``nbytes`` to the cache device."""
         return self.write_hit_base_ns + (nbytes * 1000) // self.bw_bytes_per_us
-
-    @property
-    def capacity_bytes(self) -> int:
-        """Total cache capacity in bytes."""
-        return self.line_size * self.capacity_lines

@@ -35,8 +35,3 @@ ERRNO_NAMES = {
     ETIMEDOUT: "ETIMEDOUT",
     ECANCELED: "ECANCELED",
 }
-
-
-def errno_name(err: int) -> str:
-    """Symbolic name of a (positive or negative) errno value."""
-    return ERRNO_NAMES.get(abs(err), f"errno{abs(err)}")

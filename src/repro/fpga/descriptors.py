@@ -90,8 +90,3 @@ class DescriptorRing:
             self._slots[slot] = None
             self.cidx = (self.cidx + 1) % (self.entries * 2)
         return out
-
-    @property
-    def bytes_used(self) -> int:
-        """Descriptor memory in flight."""
-        return len(self) * DESCRIPTOR_BYTES

@@ -43,11 +43,6 @@ class CpuCore:
         """Fraction of elapsed simulation time this core was busy."""
         return self.busy_ns / self.env.now if self.env.now else 0.0
 
-    @property
-    def contended(self) -> bool:
-        """True when runnable work is queued behind the current occupant."""
-        return self._res.queue_len > 0
-
     def __repr__(self) -> str:
         return f"<CpuCore {self.core_id} busy={self.busy_ns}ns>"
 

@@ -120,12 +120,6 @@ class Fabric:
         is marked dead and raises otherwise."""
         self._receivers.pop(entity, None)
 
-    def set_stack(self, entity: str, stack: StackProfile) -> None:
-        """Swap an entity's stack profile (framework configuration)."""
-        if entity not in self._entity_stack:
-            raise NetworkError(f"unknown entity {entity!r}")
-        self._entity_stack[entity] = stack
-
     def host_of(self, entity: str) -> str:
         """Network host an entity lives on."""
         if entity not in self._entity_host:

@@ -120,13 +120,6 @@ class OSDMap:
             raise StorageError(f"unknown pool {pool_id}")
         return self.pools[pool_id]
 
-    def pool_by_name(self, name: str) -> Pool:
-        """Lookup by name."""
-        for pool in self.pools.values():
-            if pool.name == name:
-                return pool
-        raise StorageError(f"unknown pool {name!r}")
-
     def mark_down(self, osd_id: int) -> None:
         """OSD stopped responding: down + out, epoch bump, CRUSH reweight."""
         state = self.osds.get(osd_id)

@@ -353,14 +353,6 @@ class MClockQueue:
         return t
 
 
-def flow_of(op) -> tuple[str, str]:
-    """Flow key of an op (untagged ops share the default client flow)."""
-    tag = getattr(op, "qos", None)
-    if tag is None:
-        return (CLASS_CLIENT, "")
-    return tag.flow()
-
-
 class _AdmitTicket(Event):
     """The event an op waits on inside the admission gate.
 

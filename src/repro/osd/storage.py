@@ -193,8 +193,3 @@ class StorageDevice:
     def volatile_depth(self) -> int:
         """Entries sitting in the volatile write-back cache."""
         return len(self._volatile)
-
-    @property
-    def queue_depth(self) -> int:
-        """Outstanding I/Os (in service + waiting)."""
-        return self._channels.count + self._channels.queue_len

@@ -49,11 +49,6 @@ def to_ms(ticks: int) -> float:
     return ticks / MS
 
 
-def to_seconds(ticks: int) -> float:
-    """Simulation ticks to seconds."""
-    return ticks / SEC
-
-
 # --- sizes (bytes) ----------------------------------------------------------
 
 KiB = 1024
@@ -81,11 +76,6 @@ def mib(value: float) -> int:
 def gbps(value: float) -> float:
     """Gigabits/second as bytes/second."""
     return value * 1e9 / 8.0
-
-
-def mbps(value: float) -> float:
-    """Megabits/second as bytes/second."""
-    return value * 1e6 / 8.0
 
 
 def mhz(value: float) -> float:
