@@ -6,8 +6,10 @@ socket to a **user-space daemon**, which drives the FPGA.  That design is
 exactly what DeLiBA-K eliminated, and its costs are explicit here:
 
 * user/kernel boundary crossings per request — six for DeLiBA-1, five
-  for DeLiBA-2 (paper Section III);
-* a data copy per crossing;
+  for DeLiBA-2 as the framework stacks configure them;
+* user/kernel payload copies per request — six in both generations'
+  stacks (paper Section III gives DeLiBA-2 two switches and five
+  copies, :data:`DELIBA2_NBD`);
 * a single-threaded daemon event loop that serializes request handling
   (the multi-tenancy blocker the paper names).
 
