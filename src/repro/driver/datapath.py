@@ -82,7 +82,9 @@ class BlockDriver:
         self.queue: Optional[QueueSet] = None
         if hardware:
             if qdma is None or crush_accel is None:
-                raise DriverError(f"hardware {self.name} needs a QDMA engine and a CRUSH accelerator")
+                raise DriverError(
+                    f"hardware {self.name} needs a QDMA engine and a CRUSH accelerator"
+                )
             if self.erasure and ec_accel is None:
                 raise DriverError(f"hardware {self.name} on an EC pool needs the RS accelerator")
             purpose = QueuePurpose.ERASURE_CODING if self.erasure else QueuePurpose.REPLICATION
