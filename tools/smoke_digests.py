@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """Check the smoke outputs against their recorded digests.
 
-Each row is one ``python -m repro`` command.  It runs in its own fresh
-directory ``build/smokes/<row>/`` (wiped first, so report paths in its
-output are relative), must exit 0, and is hashed over its stdout plus
-every file it writes there; its stdout is also kept there as
-``stdout.txt``.  Rows are separate processes in separate directories, so
-they run concurrently (one thread per CPU) without touching each other's
-digests; results print in ``ROWS`` order.  The hashes are compared with
+Each row is one ``python -m repro`` command, or one script of
+``examples/`` run by its absolute path.  It runs with ``PYTHONPATH=src``
+in its own fresh directory ``build/smokes/<row>/`` (wiped first, so
+report paths in its output are relative), must exit 0, and is hashed
+over its stdout plus every file it writes there; its stdout is also kept
+there as ``stdout.txt``.  Rows are separate processes in separate
+directories, so they run concurrently (one thread per CPU) without
+touching each other's digests; results print in ``ROWS`` order.  The hashes are compared with
 ``tests/golden/smokes.sha256``, which pins these outputs byte for byte
 across changes that claim to move no simulated event.
 
@@ -30,8 +31,10 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "smokes.sha256"
 OUT = ROOT / "build" / "smokes"
+EXAMPLES = ROOT / "examples"
 
-#: (row name, ``python -m repro`` arguments, files the command writes).
+#: (row name, command, files the command writes).  A command is the
+#: arguments of ``python -m repro``, or a script's absolute path.
 ROWS = (
     ("chaos-smoke", ["smoke", "chaos"], ()),
     ("chaos-power-loss", ["smoke", "power-loss"], ()),
@@ -58,17 +61,26 @@ ROWS = (
     ("fio-software-ceph-ec",
      ["fio", "--framework", "software-ceph", "--rw", "randrw", "--iodepth", "8",
       "--nrequests", "200", "--metrics", "--pool", "erasure"], ()),
+    # Every example's full stdout (no example writes files).
+    *((f"example-{path.stem}", [path], ()) for path in sorted(EXAMPLES.glob("*.py"))),
 )
 
 
-def run_row(args: list, files: tuple, workdir: pathlib.Path) -> tuple[int, str, str]:
+def command_line(cmd: list) -> list:
+    """The command line after ``python`` for one row's command."""
+    if isinstance(cmd[0], pathlib.Path):
+        return [str(arg) for arg in cmd]
+    return ["-m", "repro", *cmd]
+
+
+def run_row(cmd: list, files: tuple, workdir: pathlib.Path) -> tuple[int, str, str]:
     """Run one row in ``workdir`` (wiped first); return (exit code,
     digest, stderr tail)."""
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args], cwd=workdir, env=env, capture_output=True
+        [sys.executable, *command_line(cmd)], cwd=workdir, env=env, capture_output=True
     )
     (workdir / "stdout.txt").write_bytes(proc.stdout)
     digest = hashlib.sha256(proc.stdout)
@@ -102,7 +114,7 @@ def main(argv=None) -> int:
     failed = 0
     for (name, cmd, _files), (rc, digest, stderr) in zip(rows, results):
         if rc != 0:
-            print(f"FAIL {name}: `python -m repro {' '.join(cmd)}` exited {rc}\n{stderr}")
+            print(f"FAIL {name}: `python {' '.join(command_line(cmd))}` exited {rc}\n{stderr}")
             failed += 1
             continue
         if args.update:
