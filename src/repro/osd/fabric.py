@@ -345,18 +345,23 @@ class Messenger:
         entry is dropped on timeout, so a late reply is discarded rather
         than misdelivered to a future waiter.  A reply that lands at the
         deadline instant comes after the deadline (scheduled earlier),
-        so it is dropped too.
+        so it is dropped too.  Once the call returns (a reply, its
+        timeout or :meth:`stop`), its deadline leaves the event queue.  A
+        caller interrupted while it waits keeps its deadline, which
+        drops the pending entry when it fires.
         """
         ev = self.env.event()
         self._pending[op.op_id] = ev
         if self.qos_tracker is not None and op.qos is not None:
             self.qos_tracker.stamp(op, dst)
         yield from self.fabric.send(self.entity, dst, op.wire_size(), op)
+        deadline = None
         if timeout_ns is not None:
-            self.env.timeout(timeout_ns).callbacks.append(
-                lambda _deadline: self._expire(op.op_id, ev, timeout_ns)
-            )
+            deadline = self.env.timeout(timeout_ns)
+            deadline.callbacks.append(lambda _deadline: self._expire(op.op_id, ev, timeout_ns))
         reply = yield ev
+        if deadline is not None:
+            self.env.cancel(deadline)
         self._account_qos(op, reply)
         return reply
 

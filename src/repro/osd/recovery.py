@@ -140,6 +140,8 @@ class RecoveryManager:
         self._agents: dict[int, _Agent] = {}
         self._inflight_jobs = 0
         self._quiesce: Optional[Event] = None
+        #: PG index of each store key, per pool PG count.
+        self._pg_index: dict[tuple[int, str], int] = {}
         self._m_bytes_pulled = metrics.counter("recovery.bytes_pulled")
         self._m_bytes_pushed = metrics.counter("recovery.bytes_pushed")
         self._m_ops = metrics.counter("recovery.ops")
@@ -166,7 +168,10 @@ class RecoveryManager:
         pool = self.osdmap.pools.get(pool_id)
         if pool is None:
             return None
-        pg = object_to_pg(base_object_name(key), pool.pg_num)
+        memo = (pool.pg_num, key)
+        pg = self._pg_index.get(memo)
+        if pg is None:
+            pg = self._pg_index[memo] = object_to_pg(base_object_name(key), pool.pg_num)
         return self.pgs.get((pool_id, pg))
 
     def is_missing(self, osd_id: int, pool_id: int, key: str) -> bool:

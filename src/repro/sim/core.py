@@ -324,6 +324,26 @@ class Environment:
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
 
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled event before it fires.
+
+        The event leaves the queue and its callbacks never run; a
+        process waiting on it is never resumed.  Every other event keeps
+        its place, and the sequence number the event took stays spent,
+        so the order of the rest of the run does not change.  An event
+        already processed, or never scheduled, is left as it is.  The
+        queue is scanned, so this suits the short queue of a
+        deadline-heavy run, not a withdrawal from thousands of entries.
+        """
+        queue = self._queue
+        for i, entry in enumerate(queue):
+            if entry[3] is event:
+                last = queue.pop()
+                if i < len(queue):
+                    queue[i] = last
+                    heapq.heapify(queue)
+                return
+
     def event(self) -> Event:
         """A fresh, untriggered event."""
         return Event(self)

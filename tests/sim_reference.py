@@ -1,5 +1,6 @@
-"""Event-driven references for :class:`repro.sim.Resource` and
-:meth:`repro.sim.Environment.gather`.
+"""Event-driven references for :class:`repro.sim.Resource`,
+:meth:`repro.sim.Environment.gather` and
+:meth:`repro.sim.Environment.cancel`.
 
 ``ReferenceResource`` is the resource the free-slot grant replaced:
 every claim, even of a free slot, is granted by an event that the
@@ -14,6 +15,13 @@ every read instant.
 replaced in the sub-op fan-out and the other joins; the property in
 ``test_sim_gather.py`` requires both to step every generator at the same
 instant in the same order.
+
+``ReferenceEnvironment`` never withdraws an event: its ``cancel`` drops
+the event's callbacks and leaves it queued, so it still fires, as a
+no-op, at its instant, as every answered call's deadline did before
+calls withdrew them.  The property in ``test_sim_cancel.py`` requires
+``Environment.cancel`` to give every other callback the same instant and
+order, and the same sequence numbers.
 """
 
 from __future__ import annotations
@@ -105,3 +113,11 @@ def reference_gather(env: Environment, generators) -> Generator[Event, Any, list
     procs = [env.process(gen) for gen in generators]
     results = yield env.all_of(procs)
     return [results[proc] for proc in procs]
+
+
+class ReferenceEnvironment(Environment):
+    """An environment whose ``cancel`` leaves the event queued."""
+
+    def cancel(self, event: Event) -> None:
+        if event.triggered and not event.processed:
+            event.callbacks = []

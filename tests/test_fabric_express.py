@@ -6,8 +6,12 @@ pending event.  ``tests/fabric_reference.py`` keeps the inbox ``Store``,
 the demux loop process and the ``any_of`` deadline they replaced.  The
 property here requires the same handler start instants and call results
 from both under random request streams with crashes, corruption and
-duplicates; the other tests pin the deadline tie rule, and the events
-and process starts one I/O costs on a ``delibak`` or stock Ceph stack.
+duplicates; that reference keeps every deadline queued until it fires,
+where a call now withdraws its deadline when it returns.  The other
+tests pin the deadline tie rule, the withdrawal (nothing stays queued
+after an answered call) and the one path that keeps a deadline (a
+caller interrupted while it waits), and the events and process starts
+one I/O costs on a ``delibak`` or stock Ceph stack.
 """
 
 import pytest
@@ -21,7 +25,7 @@ from repro.osd.fabric import Fabric, MessageFaults, Messenger
 from repro.osd.ops import OpKind, OsdOp, OsdReply
 from repro.sim import Environment, RngStream
 from repro.status import BlkStatus
-from repro.units import kib, us
+from repro.units import kib, ms, us
 from repro.workloads.fio import FioJob
 
 from .fabric_reference import ReferenceFabric, ReferenceMessenger
@@ -205,6 +209,62 @@ def test_reply_landing_at_the_deadline_instant_times_out():
     assert client._pending == {}
     waited, reply, _ = _ping(rtt + 1)
     assert reply.ok and waited == rtt
+
+
+def _pair():
+    """e0 (a client) and e1 (a server), started."""
+    env, fabric = _fabric(2)
+    client, server = Server(env, fabric, "e0"), Server(env, fabric, "e1")
+    client.starts = server.starts = []
+    client.start()
+    server.start()
+    return env, client, server
+
+
+def test_an_answered_call_withdraws_its_deadline():
+    """1,000 calls in a row, each with a 20 ms deadline and answered at
+    once: no deadline stays queued after its reply, so a drained run ends
+    at the last reply, not 20 ms later."""
+    env, client, _ = _pair()
+    queued, answered = [], []
+
+    def caller():
+        for _ in range(1000):
+            reply = yield from client.call("e1", OsdOp(OpKind.PING, 0, "obj"), timeout_ns=ms(20))
+            assert reply.ok
+            queued.append(len(env._queue))
+            answered.append(env.now)
+
+    env.process(caller())
+    env.run()
+    assert queued == [0] * 1000
+    assert env.now == answered[-1] == 11_404_000
+    assert client._pending == {}
+    # The withdrawn deadlines were scheduled all the same.
+    assert env._seq == 12_001
+
+
+def test_an_interrupted_caller_keeps_its_deadline():
+    """A caller killed while it waits leaves its deadline queued; the
+    deadline still drops the pending entry, and the late reply is
+    discarded."""
+    env, client, server = _pair()
+
+    def caller():
+        yield from client.call("e1", OsdOp(OpKind.PING, 0, "obj", length=us(100)),
+                               timeout_ns=us(20))
+
+    proc = env.process(caller())
+    while not server.starts:
+        env.step()
+    (_, _, delivered_at), = server.starts
+    proc.interrupt("killed")
+    env.run(until=delivered_at + us(20) - 1)
+    assert not proc.ok and len(client._pending) == 1
+    env.run(until=delivered_at + us(20))
+    assert client._pending == {}
+    env.run()
+    assert client._pending == {}
 
 
 def test_delivery_to_an_entity_with_no_receiver_raises():
