@@ -48,6 +48,11 @@ class UifdConfig:
     #: NBD-era stacks still pay).
     sw_ec_encode_ns: int = us(18)
     #: Completion delivery: True = polled CQ (DeLiBA-K), False = MSI-X IRQ.
+    #: Hardware mode only: in software mode there is no QDMA completion
+    #: ring to poll or to raise an interrupt, and the reply reaches the
+    #: driver through the client's TCP stack, whose receive cost the
+    #: fabric charges.  So both values complete a software-mode request
+    #: at the same instant.
     polled_completion: bool = True
     #: Software mode: True keeps DeLiBA's client-side fan-out (the client
     #: computes placement + EC and addresses every replica/shard itself);

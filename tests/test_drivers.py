@@ -129,18 +129,24 @@ def test_uifd_sw_fanout_vs_primary():
     assert completion_time(True) < completion_time(False)
 
 
-def test_uifd_irq_completion_costs_more():
+@pytest.mark.parametrize("hardware", [True, False], ids=["hardware", "software"])
+def test_uifd_irq_completion_costs_more(hardware):
+    """An MSI-X interrupt costs more than a polled completion ring in
+    hardware mode; software mode has no ring, so the flag changes nothing."""
     def latency(polled):
         env, cluster, image, kernel = stack()
-        qdma, crush, ec = fpga_parts(env)
+        qdma, crush, ec = fpga_parts(env) if hardware else (None, None, None)
         driver = UifdDriver(
             env, kernel, image, UifdConfig(polled_completion=polled),
-            qdma=qdma, crush_accel=crush, ec_accel=ec,
+            qdma=qdma, crush_accel=crush, ec_accel=ec, hardware=hardware,
         )
         req = run_request(env, driver, write_bio())
         return req.completed_at
 
-    assert latency(polled=True) < latency(polled=False)
+    if hardware:
+        assert latency(polled=True) < latency(polled=False)
+    else:
+        assert latency(polled=True) == latency(polled=False)
 
 
 def test_uifd_sriov_function_binding():
