@@ -18,22 +18,22 @@ def _cells(result):
     return {row[0]: {"lat": row[1], "mbs": row[2], "kiops": row[3]} for row in result.rows}
 
 
-def test_ablation_dmq(benchmark, report):
-    result = benchmark.pedantic(ablation_dmq, rounds=1, iterations=1)
+def test_ablation_dmq(report):
+    result = ablation_dmq()
     report(result)
     c = _cells(result)
     assert c["DMQ (bypass)"]["lat"] <= c["mq-deadline"]["lat"]
 
 
-def test_ablation_batching(benchmark, report):
-    result = benchmark.pedantic(ablation_batching, rounds=1, iterations=1)
+def test_ablation_batching(report):
+    result = ablation_batching()
     report(result)
     c = _cells(result)
     assert c["batch=16"]["kiops"] >= c["batch=1"]["kiops"]
 
 
-def test_ablation_instances(benchmark, report):
-    result = benchmark.pedantic(ablation_instances, rounds=1, iterations=1)
+def test_ablation_instances(report):
+    result = ablation_instances()
     report(result)
     c = _cells(result)
     # At this cluster scale the fabric dominates (see the lifecycle
@@ -43,32 +43,32 @@ def test_ablation_instances(benchmark, report):
     assert c["3 instances, pinned"]["kiops"] >= c["1 instance"]["kiops"] * 0.98
 
 
-def test_ablation_rtl_vs_hls(benchmark, report):
-    result = benchmark.pedantic(ablation_rtl_vs_hls, rounds=1, iterations=1)
+def test_ablation_rtl_vs_hls(report):
+    result = ablation_rtl_vs_hls()
     report(result)
     c = _cells(result)
     assert c["RTL (235 MHz, fewer cycles)"]["lat"] <= c["HLS (DeLiBA-2 era)"]["lat"]
 
 
-def test_ablation_offload(benchmark, report):
-    result = benchmark.pedantic(ablation_offload, rounds=1, iterations=1)
+def test_ablation_offload(report):
+    result = ablation_offload()
     report(result)
     c = _cells(result)
     assert c["hardware (QDMA + RTL)"]["lat"] < c["software (host CPU)"]["lat"]
     assert c["hardware (QDMA + RTL)"]["mbs"] > c["software (host CPU)"]["mbs"]
 
 
-def test_ablation_polling(benchmark, report):
-    result = benchmark.pedantic(ablation_polling, rounds=1, iterations=1)
+def test_ablation_polling(report):
+    result = ablation_polling()
     report(result)
     c = _cells(result)
     assert c["polled (SQPOLL)"]["lat"] < c["interrupt-driven"]["lat"]
 
 
-def test_ablation_media(benchmark, report):
+def test_ablation_media(report):
     from repro.bench.ablations import ablation_media
 
-    result = benchmark.pedantic(ablation_media, rounds=1, iterations=1)
+    result = ablation_media()
     report(result)
     gains = [float(row[3].rstrip("x")) for row in result.rows]
     # D-K always wins, but by less as the media slows; on HDD it is ~1x.

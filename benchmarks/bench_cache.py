@@ -15,10 +15,10 @@ Usage::
 from __future__ import annotations
 
 
-def test_cache_mode_sweep(benchmark, report):
+def test_cache_mode_sweep(report):
     from repro.bench.cachebench import exp_cache
 
-    result = benchmark.pedantic(exp_cache, rounds=1, iterations=1)
+    result = exp_cache()
     report(result)
     rows = {r[0]: r for r in result.rows}
     # Pass-through is indistinguishable from uncached.

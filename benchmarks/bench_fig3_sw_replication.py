@@ -8,8 +8,8 @@ from repro.bench import exp_fig3
 from repro.units import kib
 
 
-def test_fig3_sw_replication(benchmark, report):
-    result = benchmark.pedantic(exp_fig3, rounds=1, iterations=1)
+def test_fig3_sw_replication(report):
+    result = exp_fig3()
     report(result)
     lat = {(r[1], r[2]): (r[3], r[4]) for r in result.rows if r[0] == "latency-us"}
     # DeLiBA-K's software stack must beat DeLiBA-2's on every 4 kB workload.

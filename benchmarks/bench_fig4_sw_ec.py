@@ -4,8 +4,8 @@ from repro.bench import exp_fig4
 from repro.units import kib
 
 
-def test_fig4_sw_ec(benchmark, report):
-    result = benchmark.pedantic(exp_fig4, rounds=1, iterations=1)
+def test_fig4_sw_ec(report):
+    result = exp_fig4()
     report(result)
     lat = {(r[1], r[2]): (r[3], r[4]) for r in result.rows if r[0] == "latency-us"}
     for workload in ("rand-read", "rand-write"):

@@ -5,8 +5,8 @@ from repro.bench.paper_data import HEADLINE_IOPS_SPEEDUP
 from repro.units import kib
 
 
-def test_fig7_hw_kiops_replication(benchmark, report):
-    result = benchmark.pedantic(exp_fig7, rounds=1, iterations=1)
+def test_fig7_hw_kiops_replication(report):
+    result = exp_fig7()
     report(result)
     grid = {(r[0], r[1]): r[2:5] for r in result.rows}
     for key, (d1, d2, dk) in grid.items():

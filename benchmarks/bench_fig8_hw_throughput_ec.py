@@ -3,8 +3,8 @@
 from repro.bench import exp_fig8
 
 
-def test_fig8_hw_throughput_ec(benchmark, report):
-    result = benchmark.pedantic(exp_fig8, rounds=1, iterations=1)
+def test_fig8_hw_throughput_ec(report):
+    result = exp_fig8()
     report(result)
     for row in result.rows:
         workload, bs, d2, dk = row

@@ -3,8 +3,8 @@
 from repro.bench import exp_fig9
 
 
-def test_fig9_hw_kiops_ec(benchmark, report):
-    result = benchmark.pedantic(exp_fig9, rounds=1, iterations=1)
+def test_fig9_hw_kiops_ec(report):
+    result = exp_fig9()
     report(result)
     grid = {(r[0], r[1]): (r[2], r[3]) for r in result.rows}
     for key, (d2, dk) in grid.items():

@@ -106,8 +106,8 @@ def run_multi_tenant():
     )
 
 
-def test_multi_tenant_scaling(benchmark, report):
-    result = benchmark.pedantic(run_multi_tenant, rounds=1, iterations=1)
+def test_multi_tenant_scaling(report):
+    result = run_multi_tenant()
     report(result)
     dk = result.rows[0][1]
     d2 = result.rows[1][1]
@@ -115,11 +115,9 @@ def test_multi_tenant_scaling(benchmark, report):
     assert dk > d2 * 2, f"D-K {dk} MB/s vs D2 {d2} MB/s"
 
 
-def test_qos_fairness_sweep(benchmark, report):
+def test_qos_fairness_sweep(report):
     """>= 16 tenants, four archetype profiles, one saturated pool."""
-    result = benchmark.pedantic(
-        lambda: exp_qos(smoke=True, ntenants=SWEEP_TENANTS), rounds=1, iterations=1
-    )
+    result = exp_qos(smoke=True, ntenants=SWEEP_TENANTS)
     report(result)
 
     tenants = mixed_profiles(SWEEP_TENANTS)

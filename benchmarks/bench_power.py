@@ -6,8 +6,8 @@ from repro.bench import exp_power
 from repro.bench.paper_data import POWER_NO_PR_W, POWER_WITH_PR_W
 
 
-def test_power_scenarios(benchmark, report):
-    result = benchmark.pedantic(exp_power, rounds=1, iterations=1)
+def test_power_scenarios(report):
+    result = exp_power()
     report(result)
     no_pr = result.rows[0][1]
     with_pr = result.rows[1][1]

@@ -4,8 +4,8 @@ real-world OLAP/OLTP workloads."""
 from repro.bench import exp_realworld
 
 
-def test_realworld_olap_oltp(benchmark, report):
-    result = benchmark.pedantic(exp_realworld, rounds=1, iterations=1)
+def test_realworld_olap_oltp(report):
+    result = exp_realworld()
     report(result)
     for row in result.rows:
         workload, d2, dk, reduction, _paper = row

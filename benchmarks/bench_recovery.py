@@ -9,8 +9,8 @@ revived OSD must be backfilled without resurrecting stale data.
 from repro.bench.recovery import DELTA_SCENARIO, SCENARIOS, exp_recovery, run_recovery_scenario
 
 
-def test_recovery_self_healing(benchmark, report):
-    result = benchmark.pedantic(lambda: exp_recovery(smoke=True), rounds=1, iterations=1)
+def test_recovery_self_healing(report):
+    result = exp_recovery(smoke=True)
     report(result)
     rows = {r[0]: r for r in result.rows}
     for name, row in rows.items():
@@ -29,7 +29,7 @@ def test_recovery_self_healing(benchmark, report):
     assert "delta recovery" in result.notes
 
 
-def test_delta_recovery_vs_full_backfill(benchmark):
+def test_delta_recovery_vs_full_backfill():
     """A power-cycled (WAL-replaying) OSD rejoins with log-based delta
     recovery: only the ops missed during the outage move, measurably
     fewer bytes than the wipe-and-backfill path on the same schedule."""
@@ -39,7 +39,7 @@ def test_delta_recovery_vs_full_backfill(benchmark):
         full = run_recovery_scenario(SCENARIOS[1], seed=0, nobjects=12)
         return delta, full
 
-    delta, full = benchmark.pedantic(_run, rounds=1, iterations=1)
+    delta, full = _run()
     # The delta path still moves real bytes (outage-era writes)...
     assert delta.bytes_pushed > 0
     # ...but strictly fewer than the full backfill of the same OSD.

@@ -26,8 +26,8 @@ def run_related_work():
     }
 
 
-def test_related_work_comparison(benchmark, report):
-    m = benchmark.pedantic(run_related_work, rounds=1, iterations=1)
+def test_related_work_comparison(report):
+    m = run_related_work()
     from repro.bench.experiments import ExperimentResult
 
     result = ExperimentResult(

@@ -4,8 +4,8 @@ from repro.bench import exp_table1
 from repro.bench.paper_data import TABLE1
 
 
-def test_table1_kernels(benchmark, report):
-    result = benchmark.pedantic(exp_table1, rounds=1, iterations=1)
+def test_table1_kernels(report):
+    result = exp_table1()
     report(result)
     measured = {row[0]: row[5] for row in result.rows}
     for kernel, paper_row in TABLE1.items():

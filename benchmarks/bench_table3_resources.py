@@ -6,8 +6,8 @@ from repro.bench import exp_table3
 from repro.bench.paper_data import TABLE3_RMS, TABLE3_STATIC
 
 
-def test_table3_resources(benchmark, report):
-    result = benchmark.pedantic(exp_table3, rounds=1, iterations=1)
+def test_table3_resources(report):
+    result = exp_table3()
     report(result)
     rows = {r[0]: r for r in result.rows}
     for module, paper in TABLE3_STATIC.items():

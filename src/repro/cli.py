@@ -99,10 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     smoke.add_argument("name", choices=sorted(SMOKES))
     smoke.add_argument("--seed", type=int, default=0)
 
-    cache = sub.add_parser("cache", help="client block cache: mode sweep and hit-ratio curve")
-    cache.add_argument("--seed", type=int, default=0)
-    cache.add_argument("--nrequests", type=int, default=300)
-
     chaos_p = sub.add_parser("chaos", help="fault-tolerance datapath under chaos injection")
     chaos_p.add_argument("--seed", type=int, default=0)
 
@@ -112,11 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     csim.add_argument("--seed", type=int, default=0)
     csim.add_argument("--points", type=int, default=16, help="max crash points per pool kind")
     csim.add_argument("--pool", default="both", choices=["replicated", "ec", "both"])
-
-    qos = sub.add_parser("qos", help="multi-tenant QoS: mClock fairness on shared OSD pools")
-    qos.add_argument("--seed", type=int, default=0)
-    qos.add_argument("--tenants", type=int, default=16,
-                     help="tenant count for the mixed-profile sweep (min 16)")
 
     recov = sub.add_parser("recover", help="online self-healing: kill/revive under client IO")
     recov.add_argument("--seed", type=int, default=0)
@@ -251,16 +242,6 @@ def _cmd_crashsim(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    print(cachebench.exp_cache(seed=args.seed, nreq=args.nrequests).render())
-    return 0
-
-
-def _cmd_qos(args) -> int:
-    print(qosbench.exp_qos(seed=args.seed, ntenants=args.tenants).render())
-    return 0
-
-
 def _cmd_recover(args) -> int:
     print(recovery.exp_recovery(seed=args.seed).render())
     return 0
@@ -392,14 +373,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_experiment(args.name)
     if args.command == "smoke":
         return _cmd_smoke(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
     if args.command == "chaos":
         return _cmd_chaos(args)
     if args.command == "crashsim":
         return _cmd_crashsim(args)
-    if args.command == "qos":
-        return _cmd_qos(args)
     if args.command == "recover":
         return _cmd_recover(args)
     if args.command == "golden":

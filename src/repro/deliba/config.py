@@ -58,8 +58,6 @@ class FrameworkConfig:
     uring_interrupt: bool = False
     #: Pin each instance's submission thread to a dedicated core.
     uring_pin_cores: bool = True
-    #: Software mode: client-side fan-out (DeLiBA semantics) vs primary.
-    client_fanout: bool = True
 
     def __post_init__(self):
         if self.api not in ("sync", "libaio", "posix-aio", "mmap", "uring"):
@@ -80,7 +78,6 @@ SOFTWARE_CEPH = FrameworkConfig(
     hardware=False,
     client_stack=KERNEL_TCP,
     accel_impl=None,
-    client_fanout=False,
 )
 
 #: DeLiBA-1 (D1): read/write API + NBD daemon (6 crossings) + HLS

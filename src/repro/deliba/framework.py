@@ -22,7 +22,7 @@ from ..api import (
 )
 from ..blk import BlockLayer
 from ..cache import CacheConfig, CachedImage
-from ..driver import NbdConfig, NbdDriver, RbdKmodConfig, RbdKmodDriver, UifdConfig, UifdDriver
+from ..driver import NbdConfig, NbdDriver, RbdKmodConfig, RbdKmodDriver, UifdDriver
 from ..errors import BenchmarkError
 from ..fpga import Accelerator, AlveoU280, PcieLink, QdmaEngine, spec_by_name
 from ..host import HostKernel
@@ -281,7 +281,6 @@ def build_framework(
             env,
             kernel,
             image,
-            UifdConfig(client_fanout=config.client_fanout),
             qdma=qdma,
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),

@@ -12,9 +12,9 @@ Two operating modes:
   placement and replication/EC fan-out run on the FPGA's RTL
   accelerators, and the FPGA TCP stack talks to the OSDs directly
   (client ops use ``direct=True``: one hop per replica/shard);
-* **software** — the Fig. 3/4 baseline: same driver structure, but
-  placement runs on the host CPU at the profiled kernel cost and ops
-  route through the primary OSD over kernel TCP.
+* **software** — the Fig. 3/4 baseline: same driver structure and the
+  same client-side fan-out, but placement and EC encode run on the host
+  CPU at their profiled kernel costs and ops cross kernel TCP.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class UifdConfig:
     #: fabric charges.  So both values complete a software-mode request
     #: at the same instant.
     polled_completion: bool = True
-    #: Software mode: True keeps DeLiBA's client-side fan-out (the client
-    #: computes placement + EC and addresses every replica/shard itself);
-    #: False routes through the primary OSD like stock Ceph.
-    client_fanout: bool = True
 
 
 class UifdDriver(BlockDriver):
@@ -80,16 +76,11 @@ class UifdDriver(BlockDriver):
         hardware: bool = True,
         metrics=None,
     ):
-        config = config or UifdConfig()
-        # The FPGA always fans out; software mode follows client_fanout.
         super().__init__(
-            env, kernel, image, config, direct=hardware or config.client_fanout,
+            env, kernel, image, config or UifdConfig(), direct=True,
             hardware=hardware, qdma=qdma, crush_accel=crush_accel, ec_accel=ec_accel,
             function=function, metrics=metrics,
         )
-        # Client-side encode only when the client fans out itself; through
-        # the primary, the OSD encodes and charges its own cost.
-        self._encode_ns = config.sw_ec_encode_ns if config.client_fanout else 0
 
     # -- blk-mq driver contract ---------------------------------------------------
 
@@ -108,7 +99,7 @@ class UifdDriver(BlockDriver):
             if self.hardware:
                 yield from self._offload(request, root)
             else:
-                yield from self._place_on_host(request, root, self._encode_ns)
+                yield from self._place_on_host(request, root, self.config.sw_ec_encode_ns)
             yield from self._image_io(request, root)
             if self.hardware and not self.config.polled_completion:
                 yield from self.kernel.interrupt(self.core)

@@ -558,16 +558,17 @@ class OsdDaemon(Messenger):
 
     def _do_pg_list(self, op: OsdOp) -> Generator:
         """Peering: list this OSD's store keys that hash into one PG,
-        with their versions and sizes (the authoritative-object census)."""
-        from ..crush.placement import object_to_pg  # local import avoids a cycle
-
+        with their versions and sizes (the authoritative-object census).
+        Only the recovery ledger sends PG_LIST; its memo hashes each key
+        once per PG count, not once per listing."""
         if op.pg < 0:
             raise StorageError(f"pg_list op {op.op_id} missing pg index")
-        pool = self.osdmap.pool(op.pool_id)
+        pg_num = self.osdmap.pool(op.pool_id).pg_num
+        pg_index = self.recovery_ledger.pg_index
         listing: dict[str, tuple[int, int]] = {}
         names = self.store.object_names()
         for key in names:
-            if object_to_pg(base_object_name(key), pool.pg_num) == op.pg:
+            if pg_index(pg_num, key) == op.pg:
                 listing[key] = (self.versions.get(key, 0), self.store.object_size(key))
         yield self.env.timeout(self.PG_LIST_SCAN_NS * max(1, len(names)))
         return OsdReply(op.op_id, True, listing=listing)

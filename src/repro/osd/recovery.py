@@ -164,15 +164,20 @@ class RecoveryManager:
 
     # -- ledger (consulted by OsdDaemon on the op path) -----------------------
 
+    def pg_index(self, pg_num: int, key: str) -> int:
+        """PG index of store ``key`` (an object or one of its EC shards)
+        in a pool of ``pg_num`` PGs, hashed once per (PG count, key)."""
+        memo = (pg_num, key)
+        pg = self._pg_index.get(memo)
+        if pg is None:
+            pg = self._pg_index[memo] = object_to_pg(base_object_name(key), pg_num)
+        return pg
+
     def _pg_of(self, pool_id: int, key: str) -> Optional[PGInfo]:
         pool = self.osdmap.pools.get(pool_id)
         if pool is None:
             return None
-        memo = (pool.pg_num, key)
-        pg = self._pg_index.get(memo)
-        if pg is None:
-            pg = self._pg_index[memo] = object_to_pg(base_object_name(key), pool.pg_num)
-        return self.pgs.get((pool_id, pg))
+        return self.pgs.get((pool_id, self.pg_index(pool.pg_num, key)))
 
     def is_missing(self, osd_id: int, pool_id: int, key: str) -> bool:
         """True when ``key``'s absence on ``osd_id`` means "not yet

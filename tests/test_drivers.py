@@ -116,19 +116,6 @@ def test_uifd_sw_mode_no_qdma_needed():
     assert driver.requests_completed == 1
 
 
-def test_uifd_sw_fanout_vs_primary():
-    """client_fanout toggles direct vs primary-mediated replication."""
-    def completion_time(fanout):
-        env, cluster, image, kernel = stack()
-        driver = UifdDriver(
-            env, kernel, image, UifdConfig(client_fanout=fanout), hardware=False
-        )
-        req = run_request(env, driver, write_bio())
-        return req.completed_at
-
-    assert completion_time(True) < completion_time(False)
-
-
 @pytest.mark.parametrize("hardware", [True, False], ids=["hardware", "software"])
 def test_uifd_irq_completion_costs_more(hardware):
     """An MSI-X interrupt costs more than a polled completion ring in

@@ -1,12 +1,16 @@
 """The recovery ledger's PG lookup.
 
-``RecoveryManager._pg_of``, which ``is_missing`` and ``write_gate`` call
-on every OSD read and mutation, memoizes each store key's PG index per
-pool PG count.  The property here requires the memo to agree with
-``object_to_pg`` over random object names, EC shard keys and PG counts,
-and the count below pins the saving: a replica write no longer hashes
-the object's name.
+``RecoveryManager.pg_index`` memoizes each store key's PG index per pool
+PG count.  ``_pg_of``, which ``is_missing`` and ``write_gate`` call on
+every OSD read and mutation, and each OSD's PG_LIST peering census read
+it.  The property here requires the memo to agree with ``object_to_pg``
+over random object names, EC shard keys and PG counts, and the counts
+below pin the saving: a replica write no longer hashes the object's
+name, and a peering pass hashes each store key once, not once per
+listing.
 """
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,13 +51,19 @@ def test_pg_lookup_agrees_with_object_to_pg(pg_nums, keys):
                 )
 
 
+def _count_hashes(monkeypatch):
+    """Patch ``str_hash``; returns the list each hashed string lands in."""
+    hashed = []
+    str_hash = placement.str_hash
+    monkeypatch.setattr(placement, "str_hash", lambda s: hashed.append(s) or str_hash(s))
+    return hashed
+
+
 def _hashes_of(name, writes, recovery, monkeypatch):
     """How often ``name`` is hashed by ``writes`` direct size-3 writes of it."""
     env, cluster, (pool,), _ = _cluster(recovery)
     client = cluster.new_client()
-    hashed = []
-    str_hash = placement.str_hash
-    monkeypatch.setattr(placement, "str_hash", lambda s: hashed.append(s) or str_hash(s))
+    hashed = _count_hashes(monkeypatch)
 
     def job():
         for i in range(writes):
@@ -71,3 +81,27 @@ def test_replica_writes_hash_the_object_name_once_for_the_ledger(monkeypatch):
     own placement hashes it."""
     client_only = _hashes_of("obj", 8, False, monkeypatch)
     assert _hashes_of("obj", 8, True, monkeypatch) == client_only + 1
+
+
+def test_peering_hashes_each_store_key_once_per_pg_count(monkeypatch):
+    """A peering pass over every PG sends each OSD one PG_LIST per PG;
+    the listings read the ledger's memo, so each store key is hashed at
+    most once however many PGs are listed."""
+    env, cluster, (pool,), _ = _cluster(False)
+    client = cluster.new_client()
+    names = [f"obj{i}" for i in range(12)]
+
+    def job():
+        for name in names:
+            yield from write_object(client, pool, name, b"x" * kib(4))
+
+    env.process(job())
+    env.run()
+    manager = cluster.enable_recovery()  # an empty memo: peering hashes first
+    hashed = _count_hashes(monkeypatch)
+    manager.kick()
+    env.run()
+    monkeypatch.undo()
+    assert manager.converged
+    assert sorted(set(hashed)) == sorted(names)
+    assert max(Counter(hashed).values()) == 1
