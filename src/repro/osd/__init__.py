@@ -13,7 +13,7 @@ from .cluster import CephCluster, ClusterSpec, build_cluster
 from .fabric import Envelope, Fabric, MessageFaults, Messenger
 from .monitor import Monitor
 from .policy import DEFAULT_POLICY, OpPolicy
-from .objects import ObjectStore
+from .objects import ExtentImage, ObjectStore
 from .ops import OP_HEADER_BYTES, OpKind, OsdOp, OsdReply
 from .osd import OsdConfig, OsdDaemon, base_object_name, shard_object_name
 from .osdmap import OSDMap, OsdState, Pool, PoolType
@@ -57,6 +57,7 @@ __all__ = [
     "DEFAULT_POLICY",
     "DurabilityConfig",
     "Envelope",
+    "ExtentImage",
     "MessageFaults",
     "OpPolicy",
     "Extent",

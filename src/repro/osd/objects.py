@@ -17,6 +17,14 @@ of the old payloads.  Several objects and stores -- e.g. the WAL's media
 image and the OSD's visible store -- can therefore share one payload,
 and nothing ever mutates a payload in place.
 
+:meth:`ObjectStore.image` hands out an object's content in this same
+representation, as an immutable extent image: the object's ``bytes``
+when it was written whole, else an :class:`ExtentImage` of its runs.
+Writing an image over a whole object installs it as it stands, so a
+recovery push keeps the source's layout: the target holds the same
+extents and shares the source's payloads, and a 4 MiB object holding
+one 4 KiB extent costs the target 4 KiB, not 4 MiB.
+
 Like BlueStore, every write refreshes a stored whole-object checksum, so
 scrub can tell *which* copy rotted even in 2-replica pools where a
 majority vote ties.  The checksum is the SHA-256 of the logical content,
@@ -80,8 +88,36 @@ class _Extents:
         payloads[lo:hi] = new_payloads
 
 
+class ExtentImage:
+    """An immutable snapshot of a fragmented object's content.
+
+    ``size`` is the logical size; ``starts`` and ``payloads`` are the
+    sorted runs, sharing the store's ``bytes`` by reference.  ``len()``
+    is the logical size and ``bytes()`` flattens the image, holes and
+    the tail past the last run as zeros.
+    """
+
+    __slots__ = ("size", "starts", "payloads")
+
+    def __init__(self, size: int, starts: tuple[int, ...], payloads: tuple[bytes, ...]):
+        self.size = size
+        self.starts = starts
+        self.payloads = payloads
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        buf = bytearray(self.size)
+        for start, payload in zip(self.starts, self.payloads):
+            buf[start : start + len(payload)] = payload
+        return bytes(buf)
+
+
 #: An object is its payload (written whole) or an extent list.
 _Object = Union[bytes, _Extents]
+#: An object's content handed out of the store (see ObjectStore.image).
+Image = Union[bytes, ExtentImage]
 
 
 def _size(obj: _Object) -> int:
@@ -148,28 +184,37 @@ class ObjectStore:
             self._objects[name] = obj
         obj.put(offset, data)
 
-    def write(self, name: str, offset: int, data: bytes) -> None:
+    def write(self, name: str, offset: int, data: Image) -> None:
         """Write ``data`` at ``offset``, growing the object as needed.
 
-        ``bytes`` payloads are kept by reference; anything else is
-        copied once, so later mutation by the caller cannot leak in.
+        ``bytes`` payloads are kept by reference; a ``bytearray`` or
+        ``memoryview`` is copied once, so later mutation by the caller
+        cannot leak in.  An :class:`ExtentImage` that covers the whole
+        object is installed with its layout, sharing its payloads; one
+        written anywhere else is flattened first.
         """
         if offset < 0:
             raise StorageError(f"negative write offset {offset}")
-        self._put(name, offset, bytes(data))
+        if type(data) is ExtentImage and offset == 0 and data.size >= self.object_size(name):
+            # Covers the whole object: its runs copied, its payloads shared.
+            self._objects[name] = _Extents(data.size, list(data.starts), list(data.payloads))
+        else:
+            self._put(name, offset, bytes(data))
         self._dirty.add(name)
 
-    def copy_from(self, source: ObjectStore, name: str) -> None:
-        """Replace ``name`` with ``source``'s copy, sharing its payloads.
+    def image(self, name: str) -> Image:
+        """The object's content as an immutable extent image.
 
-        No data is copied.  The checksum is re-derived from the content
-        on demand, as after a write.
+        A whole-written object's image is its ``bytes``; any other is an
+        :class:`ExtentImage` whose runs share this store's payloads.
+        Later writes to the object do not reach the image.  Writing it
+        into another store at offset 0 copies the object without
+        copying data; the checksum there is re-derived on demand.
         """
-        obj = source._get(name)
-        if type(obj) is _Extents:
-            obj = _Extents(obj.size, list(obj.starts), list(obj.payloads))
-        self._objects[name] = obj
-        self._dirty.add(name)
+        obj = self._get(name)
+        if type(obj) is bytes:
+            return obj
+        return ExtentImage(obj.size, tuple(obj.starts), tuple(obj.payloads))
 
     def read(self, name: str, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``; holes and EOF read as zeros."""

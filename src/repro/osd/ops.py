@@ -44,6 +44,8 @@ class OsdOp:
     object_name: str
     offset: int = 0
     length: int = 0
+    #: Payload; a PUSH may carry an extent image (``ObjectStore.image``),
+    #: whose ``len()`` is its logical size like a dense payload's.
     data: Optional[bytes] = None
     #: Acting set computed by the sender (Ceph clients address by map).
     #: EC ops keep its CRUSH holes, so a position is a shard rank.
@@ -84,6 +86,7 @@ class OsdReply:
 
     op_id: int
     ok: bool
+    #: Read data; a PULL reply carries the key's extent image.
     data: Optional[bytes] = None
     error: str = ""
     epoch: int = 0

@@ -575,19 +575,28 @@ class OsdDaemon(Messenger):
 
     def _do_pull(self, op: OsdOp) -> Generator:
         """Recovery read: whole store key (object or shard) + version.
-        Goes through the device, so pulls contend with client reads."""
+        Goes through the device, so pulls contend with client reads.
+        The reply carries the key's extent image (see
+        :meth:`ObjectStore.image`), not a dense copy; its wire size is
+        the logical size the device read was charged for."""
         name = op.object_name
         if name not in self.store:
             raise StorageError(f"no such object {name!r}")
         size = self.store.object_size(name)
-        data = yield from self._apply_read(name, 0, size)
-        return OsdReply(op.op_id, True, data=data, version=self.versions.get(name, 0))
+        yield from self.device.read(name, 0, size)
+        image = self.store.image(name)
+        if len(image) != size:
+            # Resized while the device read ran: ship the bytes charged.
+            image = self.store.read(name, 0, size)
+        return OsdReply(op.op_id, True, data=image, version=self.versions.get(name, 0))
 
     def _do_push(self, op: OsdOp) -> Generator:
         """Recovery write: version-guarded whole-object install.  A push
         carrying data pulled at version V applies only if this OSD has
         seen nothing newer — a client write (or delete) that landed here
-        during the pull/push window wins, never the stale backfill."""
+        during the pull/push window wins, never the stale backfill.  An
+        extent image installs with the source's layout, sharing its
+        payloads; the WAL journals it flattened."""
         if op.data is None:
             raise StorageError(f"push op {op.op_id} carries no data")
         name = op.object_name

@@ -644,7 +644,7 @@ class _Agent:
                 op = OsdOp(OpKind.PULL, pool.pool_id, key, 0, size, epoch=mgr.osdmap.epoch)
                 reply = yield from self._call(src, op)
                 if reply.ok:
-                    got[rank] = reply.data
+                    got[rank] = bytes(reply.data)  # the codec decodes flat shards
                     mgr._m_bytes_pulled.add(len(reply.data))
                     break
         if len(got) < pool.k:

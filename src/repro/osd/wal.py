@@ -608,7 +608,7 @@ class WriteAheadLog:
                     self._m_dropped.add()
                     versions.pop(key, None)
                     continue
-            ws.copy_from(self.media, key)
+            ws.write(key, 0, self.media.image(key))
         expected = self.checkpoint_seq + 1
         for i, rec in enumerate(self.log):
             if rec.seq != expected or not rec.valid:
@@ -671,7 +671,7 @@ class WriteAheadLog:
         # base; the log starts empty past every allocated seq.
         media = ObjectStore()
         for name in ws.object_names():
-            media.copy_from(ws, name)
+            media.write(name, 0, ws.image(name))
         self.media = media
         self.durable_versions = dict(versions)
         self.log = []

@@ -228,7 +228,7 @@ def test_object_store_corrupt_leaves_shared_payloads_intact():
     a, b = ObjectStore(), ObjectStore()
     a.write("x", 0, payload)
     a.write("y", 0, payload)
-    b.copy_from(a, "x")
+    b.write("x", 0, a.image("x"))
     a.corrupt("x", 3, b"ROT")
     assert not a.verify("x")
     assert a.read("x", 0, len(payload)) == b"shaROT-payload"
@@ -336,8 +336,9 @@ BUFFER_TYPES = st.sampled_from([bytes, bytearray, memoryview])
 class ExtentStoreMatchesDenseModel(RuleBasedStateMachine):
     """Random write/read/delete/corrupt/verify/checksum sequences read,
     size and hash the same on the extent store and the dense model.  A
-    second store takes copies by reference; later changes to the first
-    store must not reach it."""
+    second store takes the first's extent images, written at offset 0
+    over whatever it holds: a longer copy keeps its tail, and later
+    changes to the first store must not reach it."""
 
     def __init__(self):
         super().__init__()
@@ -388,8 +389,9 @@ class ExtentStoreMatchesDenseModel(RuleBasedStateMachine):
     @rule(name=NAMES)
     def copy(self, name):
         if name in self.model.objects:
-            self.copies.copy_from(self.store, name)
-            self.copied[name] = bytes(self.model.objects[name])
+            self.copies.write(name, 0, self.store.image(name))
+            data = bytes(self.model.objects[name])
+            self.copied[name] = data + self.copied.get(name, b"")[len(data):]
 
     @invariant()
     def same_content(self):

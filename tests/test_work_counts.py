@@ -1,10 +1,11 @@
-"""``tools/work_counts.py``: the work-count and host-time gate of the perf smoke.
+"""``tools/work_counts.py``: the work-count, host-time and RSS gate of the perf smoke.
 
 The gate itself runs in CI after ``benchmarks/perf/run.py --smoke
---trace 1``; these tests check that the recorded counts and host times
-cover every workload and count metric the benchmark declares, that the
-comparison reports each kind of difference and each host time past its
-bound, and that ``--update`` records both from one record.
+--trace 1``; these tests check that the recorded counts and host values
+(times and peak RSS) cover every workload and count metric the benchmark
+declares, that the comparison reports each kind of difference and each
+host value past its bound, and that ``--update`` records both from one
+record.
 """
 
 import copy
@@ -108,14 +109,50 @@ def test_workload_with_no_recorded_host_time_fails():
     want = copy.deepcopy(golden)
     del want["host"]["ec-randwrite-4k"]
     assert work_counts.compare(want, golden) == [
-        f"ec-randwrite-4k {name}: no recorded host time (run with --update)"
+        f"ec-randwrite-4k {name}: no recorded value (run with --update)"
         for name in work_counts.HOST_METRICS
     ]
 
 
-def _write_record(directory, ios_per_host_s, setup_s):
+def test_peak_rss_over_its_bound_fails_naming_workload_and_metric():
+    golden = _golden()
+    ceiling = golden["host"]["recover-kill-revive"]["peak_rss_mb"] * 1.5
+    [line] = work_counts.compare(
+        golden, _with_host(golden, "recover-kill-revive", "peak_rss_mb", ceiling * 1.001))
+    assert line.startswith("recover-kill-revive peak_rss_mb: ") and "over the ceiling" in line
+    assert line.endswith(" x 1.5)")
+
+
+def test_peak_rss_exactly_at_its_bound_passes():
+    golden = _golden()
+    got = copy.deepcopy(golden)
+    for values in got["host"].values():
+        values["peak_rss_mb"] *= 1.5
+    assert work_counts.compare(golden, got) == []
+
+
+def test_missing_recorded_peak_rss_fails():
+    golden = _golden()
+    want = copy.deepcopy(golden)
+    del want["host"]["recover-kill-revive"]["peak_rss_mb"]
+    assert work_counts.compare(want, golden) == [
+        "recover-kill-revive peak_rss_mb: no recorded value (run with --update)"
+    ]
+
+
+def test_golden_peak_rss_fails_the_dense_recovery_reading():
+    """The recorded bound rejects the 77.4 MB that a smoke
+    ``recover-kill-revive`` read when recovery shipped dense copies."""
+    golden = _golden()
+    [line] = work_counts.compare(
+        golden, _with_host(golden, "recover-kill-revive", "peak_rss_mb", 77.4))
+    assert line.startswith("recover-kill-revive peak_rss_mb: 77.4, over the ceiling")
+
+
+def _write_record(directory, ios_per_host_s, setup_s, peak_rss_mb=40.0):
     names = work_counts.count_metrics()
-    e2e = {"ios_per_host_s": {"value": ios_per_host_s}, "setup_s": {"value": setup_s}}
+    e2e = {"ios_per_host_s": {"value": ios_per_host_s}, "setup_s": {"value": setup_s},
+           "peak_rss_mb": {"value": peak_rss_mb}}
     record = {"args": {"seed": 0, "smoke": True, "trace": 1},
               "results": {"w": {"per_layer": {name: 7 for name in names}, "e2e": e2e}}}
     path = directory / "20260101T000000-seed0.json"
@@ -131,10 +168,12 @@ def test_update_records_counts_and_host_times_from_one_record(tmp_path, monkeypa
     assert json.loads(golden.read_text()) == {
         "run": {"seed": 0, "smoke": True},
         "workloads": {"w": {name: 7 for name in work_counts.count_metrics()}},
-        "host": {"w": {"ios_per_host_s": 1500.0, "setup_s": 0.25}},
+        "host": {"w": {"ios_per_host_s": 1500.0, "setup_s": 0.25, "peak_rss_mb": 40.0}},
     }
     assert work_counts.main([str(path)]) == 0
     _write_record(tmp_path, 499.0, 0.25)
     assert work_counts.main([str(path)]) == 1
     _write_record(tmp_path, 1500.0, 0.76)
+    assert work_counts.main([str(path)]) == 1
+    _write_record(tmp_path, 1500.0, 0.25, peak_rss_mb=60.1)
     assert work_counts.main([str(path)]) == 1
