@@ -31,12 +31,21 @@ class CpuCore:
             raise SimulationError(f"negative cpu time {duration}")
         if duration == 0:
             return
-        req = yield from self._res.acquire(priority)
+        res = self._res
+        req = res._claim(priority)
+        if not req._processed:
+            yield req
         try:
             yield self.env.timeout(duration)
             self.busy_ns += duration
         finally:
-            self._res.release(req)
+            # Resource.release(), inline, as in Resource.using.
+            try:
+                res._users.remove(req)
+            except KeyError:
+                res.release(req)
+            if res._waiting:
+                res._grant_next()
 
     @property
     def load(self) -> float:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ProcessKilled, SimulationError
 from repro.sim import Environment, Resource, Semaphore
 
 
@@ -134,6 +134,59 @@ def test_semaphore_validation():
     sem = Semaphore(env, tokens=1)
     with pytest.raises(SimulationError):
         sem.release(0)
+
+
+def _semaphore_run(kill_at):
+    """One token held from t=0 to t=10; waiters ``a`` and ``b`` queue at
+    t=1 and ``a`` is interrupted at ``kill_at``.  Returns (event log,
+    tokens left)."""
+    env = Environment()
+    sem = Semaphore(env, tokens=1)
+    log = []
+
+    def holder(env):
+        yield sem.acquire()
+        yield env.timeout(10)
+        sem.release()
+
+    def waiter(env, tag):
+        yield env.timeout(1)
+        try:
+            yield sem.acquire()
+        except ProcessKilled:
+            log.append((tag, "killed", env.now))
+            return
+        log.append((tag, "got", env.now))
+        yield env.timeout(5)
+        sem.release()
+
+    env.process(holder(env))
+    a = env.process(waiter(env, "a"))
+    env.process(waiter(env, "b"))
+
+    def killer(env):
+        yield env.timeout(kill_at)
+        a.interrupt()
+
+    env.process(killer(env))
+    env.run()
+    return log, sem.tokens
+
+
+def test_interrupted_semaphore_waiter_leaks_no_token():
+    """A waiter killed while queued withdraws its take: the next waiter
+    gets the token when it frees, and the pool ends full."""
+    log, tokens = _semaphore_run(kill_at=5)
+    assert log == [("a", "killed", 5), ("b", "got", 10)]
+    assert tokens == 1
+
+
+def test_semaphore_token_granted_at_the_interrupt_instant_is_returned():
+    """``a`` is granted the token at t=10 and killed at t=10, before it
+    resumes: the token goes on to ``b`` at once."""
+    log, tokens = _semaphore_run(kill_at=10)
+    assert log == [("a", "killed", 10), ("b", "got", 10)]
+    assert tokens == 1
 
 
 def test_resource_queue_len_reporting():
