@@ -50,6 +50,9 @@ ROWS = (
     # and D-K-sw stacks).
     ("experiment-fig3", ["experiment", "fig3"], ()),
     ("experiment-fig4", ["experiment", "fig4"], ()),
+    # Every experiment in one row: the rows above pin four alone, and
+    # the goldens pin fig6.
+    ("experiment-all", ["experiment", "all"], ()),
     ("trace-export", ["trace", "--export", "trace.json"], ("trace.json",)),
     ("profile-smoke", ["smoke", "profile"], ("profile-trace.json", "profile.folded")),
     # Stock Ceph's primary-mediated ops: the replicated row sends `write`
