@@ -4,9 +4,11 @@ A frozen copy of ``repro.sim.core`` as it was before the kernel built
 its events in place and read the clock as a slot: every event goes
 through ``Event.__init__`` and ``Environment._schedule``, ``now`` is a
 property, and every wait goes through ``Environment._wait``.  Only the
-imports differ, so it stands alone beside the live kernel.  The property
-in ``tests/test_sim_kernel_differential.py`` runs random programs on
-both and requires the same trace and the same sequence numbers.
+imports differ, so it stands alone beside the live kernel, and it has
+the live kernel's later fix to interrupts: while an interrupt is on its
+way, a wait the process starts is detached at once.  The property in
+``tests/test_sim_kernel_differential.py`` runs random programs on both
+and requires the same trace and the same sequence numbers.
 
 The original module docstring follows.
 
@@ -164,7 +166,7 @@ class Process(Event):
     error still surfaces when it is dispatched.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_interrupts")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -173,6 +175,8 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: Interrupts scheduled but not yet delivered.
+        self._interrupts = 0
         Initialize(env, self)
 
     @property
@@ -181,10 +185,16 @@ class Process(Event):
         return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessKilled` into the process at its wait point."""
+        """Throw :class:`ProcessKilled` into the process at its wait point.
+
+        Until the interrupt is delivered, the process waits on nothing:
+        a wait it starts meanwhile (it interrupted itself, or it had not
+        started yet) is detached at once, like the wait it was in.
+        """
         if self._triggered:
             return
-        if self._target is not None and self is not self.env.active_process:
+        waiting = self._target is not None and self is not self.env.active_process
+        if waiting and not self._interrupts:
             # Detach from the event we were waiting on.
             if self._target.callbacks is not None and self._resume in self._target.callbacks:
                 self._target.callbacks.remove(self._resume)
@@ -199,15 +209,32 @@ class Process(Event):
             canceller = getattr(self._target, "_cancel_on_interrupt", None)
             if canceller is not None:
                 canceller()
+        self._interrupts += 1
         interrupt_ev = self.env._new_resume_event(False, ProcessKilled(cause))
-        interrupt_ev.callbacks.append(self._resume)
+        interrupt_ev.callbacks.append(self._interrupted)
         self.env._schedule(interrupt_ev, priority=URGENT)
+
+    def _interrupted(self, event: Event) -> None:
+        """Deliver a scheduled interrupt."""
+        self._interrupts -= 1
+        self._resume(event)
+
+    def _withhold(self, target: Event) -> None:
+        """Start a wait on ``target`` detached, as :meth:`interrupt` would
+        detach it: an interrupt is on its way, and it, not ``target``,
+        resumes the process."""
+        self._target = None
+        if target.callbacks is not None and not target.callbacks:
+            target.callbacks.append(_sink_failure)
+        canceller = getattr(target, "_cancel_on_interrupt", None)
+        if canceller is not None:
+            canceller()
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's value."""
         if self._triggered:
-            # Already finished (e.g. interrupted before a stale event it
-            # once waited on fired) — never resume a closed generator.
+            # Already finished (e.g. it returned before an interrupt
+            # sent to it was delivered) — never resume a closed generator.
             return
         env = self.env
         env._active = self
@@ -239,6 +266,9 @@ class Process(Event):
             self.fail(exc)
             return
         env._active = None
+        if self._interrupts and isinstance(target, Event) and target.env is env:
+            self._withhold(target)
+            return
         self._target = env._wait(target, self._resume, self)
 
     def __repr__(self) -> str:

@@ -4,8 +4,8 @@ These pin down corner semantics the main suite doesn't touch: the
 payload of a condition when a sibling child is triggered but not yet
 processed, failure propagation through ``all_of``, ``run(until=)``
 clock behavior at the boundary, interrupting a process whose wait
-target has already fired, and the failure-sink installed when an
-interrupt orphans a waited-on event.
+target has already fired or that is not waiting at all, and the
+failure-sink installed when an interrupt orphans a waited-on event.
 """
 
 import pytest
@@ -181,6 +181,64 @@ def test_interrupt_detach_sinks_orphaned_failure():
     ev.fail(RuntimeError("nobody is listening"))
     env.run()  # must not raise
     assert p.value == "killed"
+
+
+def _twice_waiting_victim(env, seen):
+    """Waits 10 ns, and once an interrupt lands, 20 ns more."""
+    try:
+        yield env.timeout(10)
+    except ProcessKilled as exc:
+        seen.append((env.now, exc.args[0]))
+    yield env.timeout(20)
+    seen.append((env.now, "done"))
+
+
+def test_a_self_interrupt_is_not_followed_by_a_stale_resume():
+    """A process that interrupts itself and then waits 10 ns gets the
+    interrupt at that wait, and nothing else: the abandoned 10 ns
+    timeout does not resume it again, so its 20 ns wait ends at 20."""
+    env = Environment()
+    seen = []
+
+    def victim(env):
+        env.active_process.interrupt("self")
+        yield from _twice_waiting_victim(env, seen)
+
+    env.process(victim(env))
+    env.run()
+    assert seen == [(0, "self"), (20, "done")]
+
+
+def test_an_interrupt_before_the_first_resume_is_not_followed_by_a_stale_resume():
+    env = Environment()
+    seen = []
+    proc = env.process(_twice_waiting_victim(env, seen))
+    proc.interrupt("early")
+    env.run()
+    assert seen == [(0, "early"), (20, "done")]
+
+
+def test_two_interrupts_of_one_instant_leave_no_stale_resume():
+    """The first interrupt lands while the second is still on its way:
+    the wait started in between is detached too."""
+    env = Environment()
+    seen = []
+
+    def victim(env):
+        for _ in range(2):
+            try:
+                yield env.timeout(10)
+            except ProcessKilled as exc:
+                seen.append((env.now, exc.args[0]))
+        yield env.timeout(20)
+        seen.append((env.now, "done"))
+
+    proc = env.process(victim(env))
+    env.run(until=0)
+    proc.interrupt("first")
+    proc.interrupt("second")
+    env.run()
+    assert seen == [(0, "first"), (0, "second"), (20, "done")]
 
 
 def test_unobserved_failure_still_raises_without_interrupt():

@@ -271,6 +271,63 @@ def test_interrupt_at_the_grant_instant_releases_the_slot(claim):
     assert third.value == 30
 
 
+def test_a_queued_claim_after_a_self_interrupt_is_withdrawn():
+    """A process interrupts itself, catches the interrupt at its next
+    wait and then queues a ``using`` claim behind a holder: the claim
+    is granted when the holder leaves, and nothing stale resumes it
+    first, so it releases cleanly and no slot stays held."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+
+    def holder(env):
+        yield from res.using(5)
+
+    def victim(env):
+        env.active_process.interrupt("self")
+        try:
+            yield env.timeout(2)
+        except ProcessKilled:
+            pass
+        yield from res.using(1)
+        return env.now
+
+    env.process(holder(env))
+    proc = env.process(victim(env))
+    env.run()
+    assert proc.value == 6
+    assert res.count == 0 and res.queue_len == 0
+
+
+def test_a_claim_queued_while_an_interrupt_is_on_its_way_is_withdrawn():
+    """The claim is made between a self-interrupt and its delivery, so
+    the interrupt lands while it waits: the claim leaves the queue and
+    the next waiter gets the slot."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+
+    def holder(env):
+        yield from res.using(5)
+
+    def victim(env):
+        env.active_process.interrupt("self")
+        try:
+            yield from res.using(1)
+        except ProcessKilled:
+            order.append(("victim-killed", env.now))
+
+    def survivor(env):
+        yield from res.using(1)
+        order.append(("survivor", env.now))
+
+    env.process(holder(env))
+    env.process(victim(env))
+    env.process(survivor(env))
+    env.run()
+    assert order == [("victim-killed", 0), ("survivor", 6)]
+    assert res.count == 0 and res.queue_len == 0
+
+
 def test_acquire_takes_a_free_slot_without_an_event():
     env = Environment()
     res = Resource(env, capacity=2)
