@@ -130,8 +130,10 @@ class HardwareContext:
         # Close the tree at driver completion; the API engine's reaper
         # may extend it to CQE delivery afterwards.
         request.obs_span.finish(ok=not failed)
-        # Freed capacity may unblock queued work.
-        self.kick()
+        # Freed capacity may unblock queued work.  An empty elevator
+        # needs no drain: the next insert kicks its own.
+        if len(self.scheduler):
+            self.kick()
 
 
 class BlockLayer:

@@ -72,14 +72,16 @@ class CmacNetworkMonitor:
         self._attached = False
 
     def _on_frame(self, message: Message) -> None:
+        """Count a frame the switch forwards, at the instant it is
+        delivered."""
         key = (message.src, message.dst)
         stats = self.flows.get(key)
         if stats is None:
             stats = self.flows[key] = FlowStats(message.src, message.dst)
-            stats.first_seen_ns = self.env.now
+            stats.first_seen_ns = message.delivered_at
         stats.frames += 1
         stats.bytes += message.size
-        stats.last_seen_ns = self.env.now
+        stats.last_seen_ns = message.delivered_at
         # Header mirror flows through the CMAC RX path (charged on the
         # card's clock; small by design — that's the point of the mode).
         self.env.process(

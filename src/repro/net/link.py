@@ -8,6 +8,7 @@ Ethernet framing overhead is charged per MTU-sized frame.
 The queue is analytic rather than event-driven: the link remembers the
 instant its last reserved message finishes serializing (``free_at``),
 so a reservation is one arithmetic step and costs no simulator event.
+Its cost per payload size is memoized at the bandwidth in force.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ ETHERNET_FRAME_OVERHEAD = 38
 DEFAULT_MTU = 1500
 #: Jumbo-frame MTU (the paper's cluster supports up to 9018-byte frames).
 JUMBO_MTU = 9000
+#: Payload sizes a link remembers the cost of; a full memo starts afresh.
+COST_MEMO_MAX = 1024
 
 
 class Link:
@@ -44,7 +47,10 @@ class Link:
         if mtu < 64:
             raise NetworkError(f"mtu must be >= 64, got {mtu}")
         self.env = env
-        self.bandwidth_bps = bandwidth_bps  # bytes/sec
+        self._bandwidth_bps = bandwidth_bps
+        #: payload bytes -> (wire bytes, frames, serialization ns) at
+        #: the bandwidth in force.
+        self._cost: dict[int, tuple[int, int, int]] = {}
         self.propagation_ns = propagation_ns
         self.mtu = mtu
         self.name = name
@@ -61,6 +67,17 @@ class Link:
         self.up = True
         #: Down transitions seen (chaos link-flap accounting).
         self.flaps = 0
+
+    @property
+    def bandwidth_bps(self) -> float:
+        """Bandwidth in bytes/sec.  A change applies to messages offered
+        after it (see :meth:`reserve`)."""
+        return self._bandwidth_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, bandwidth_bps: float) -> None:
+        self._bandwidth_bps = bandwidth_bps
+        self._cost = {}
 
     def set_up(self, up: bool) -> None:
         """Raise or lower the link (chaos link flaps).
@@ -94,14 +111,27 @@ class Link:
         last bit reaches the far end.
         """
         now = self.env.now
-        self._settle(now)
+        inflight = self._inflight
+        if inflight and inflight[0][1] <= now:
+            self._settle(now)
+        cost = self._cost.get(payload_bytes)
+        if cost is None:
+            cost = self._price(payload_bytes)
+        wire, frames, ser = cost
+        start = self.free_at if self.free_at > now else now
+        end = start + ser
+        self.free_at = end
+        inflight.append((start, end, wire, frames))
+        return end + self.propagation_ns
+
+    def _price(self, payload_bytes: int) -> tuple[int, int, int]:
+        """Work out and memoize ``payload_bytes``' cost on this link."""
+        if len(self._cost) >= COST_MEMO_MAX:
+            self._cost = {}
         frames = self._frames(payload_bytes)
         wire = payload_bytes + frames * ETHERNET_FRAME_OVERHEAD
-        start = self.free_at if self.free_at > now else now
-        end = start + transfer_ns(wire, self.bandwidth_bps)
-        self.free_at = end
-        self._inflight.append((start, end, wire, frames))
-        return end + self.propagation_ns
+        cost = self._cost[payload_bytes] = (wire, frames, transfer_ns(wire, self._bandwidth_bps))
+        return cost
 
     def _settle(self, now: int) -> None:
         """Count every reservation that finished serializing by ``now``."""

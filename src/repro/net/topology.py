@@ -3,16 +3,17 @@
 Models the paper's testbed fabric: every host has a full-duplex 10 GbE
 port (uplink + downlink :class:`Link`), and the switch adds a fixed
 store-and-forward latency.  :meth:`Network.transfer` carries a message
-with two timeouts and a delivery callback; :meth:`Network.send` wraps it
-as a process that places the message in the destination host's inbox.
+between two links with one timeout to the switch and one event at the
+receiver; :meth:`Network.send` wraps it as a process that places a
+:class:`Message` in the destination host's inbox.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from ..errors import NetworkError
-from ..sim import NULL_METRICS, Environment, FilterStore
+from ..sim import NULL_METRICS, Environment, Event, FilterStore
 from ..units import gbps, us
 from .link import DEFAULT_MTU, Link
 from .message import Message
@@ -40,16 +41,22 @@ class Host:
 
 
 class _InFlight:
-    """A message between its offer to the network and its delivery."""
+    """A message between its offer to the network and the switch."""
 
-    __slots__ = ("message", "downlink", "on_delivered", "start", "behind", "rank")
+    __slots__ = ("uplink", "downlink", "size", "event", "rx_ns", "sent_at", "start", "behind",
+                 "rank")
 
-    def __init__(self, message: Message, downlink: Link, on_delivered):
-        self.message = message
+    def __init__(self, uplink: Link, downlink: Link, size: int, event: Event, rx_ns: int,
+                 sent_at: int, start: int):
+        self.uplink = uplink
         self.downlink = downlink
-        self.on_delivered = on_delivered
+        self.size = size
+        #: Triggered ``rx_ns`` after the message reaches the receiver.
+        self.event = event
+        self.rx_ns = rx_ns
+        self.sent_at = sent_at
         #: When it starts serializing on its uplink.
-        self.start = 0
+        self.start = start
         #: The message it queued behind on its uplink (until forwarded).
         self.behind: Optional[_InFlight] = None
         #: Forwarding sequence number at the switch.
@@ -83,15 +90,21 @@ class Network:
         self.switch_ns = switch_ns
         self.mtu = mtu
         self.hosts: dict[str, Host] = {}
+        #: Messages forwarded onto their receiver's downlink: from then
+        #: on, nothing stops them arriving.
         self.messages_delivered = 0
-        #: Delivery taps (port mirroring): called with every delivered
-        #: message.  Used by CMAC-based network monitors.
+        #: Switch taps (port mirroring): called with a :class:`Message`
+        #: for every message the switch forwards, stamped with the
+        #: instant it will reach its receiver.  Used by CMAC-based
+        #: network monitors.
         self.taps: list = []
         #: Messages due at the switch, by arrival instant, in offer order.
         self._due: dict[int, list[_InFlight]] = {}
-        #: The message last offered on each host's uplink.
-        self._last_offered: dict[str, _InFlight] = {}
+        #: The message last offered on each uplink.
+        self._last_offered: dict[Link, _InFlight] = {}
         self._forwarded = 0
+        #: The host each link belongs to (for taps).
+        self._link_host: dict[Link, str] = {}
 
     def add_host(self, name: str) -> Host:
         """Attach a host with fresh up/down links."""
@@ -100,6 +113,7 @@ class Network:
         host = Host(self.env, name)
         host.uplink = Link(self.env, self.bandwidth_bps, self.hop_ns, self.mtu, name=f"{name}-up")
         host.downlink = Link(self.env, self.bandwidth_bps, self.hop_ns, self.mtu, name=f"{name}-down")
+        self._link_host[host.uplink] = self._link_host[host.downlink] = name
         self.hosts[name] = host
         return host
 
@@ -109,31 +123,29 @@ class Network:
             raise NetworkError(f"unknown host {name!r}")
         return self.hosts[name]
 
-    def path_up(self, src: str, dst: str) -> bool:
-        """True when every link on the src -> switch -> dst path is up."""
-        return self.host(src).uplink.up and self.host(dst).downlink.up
-
-    def transfer(self, message: Message, on_delivered: Callable[[Message], None]) -> None:
-        """Carry a message src -> switch -> dst; call ``on_delivered(message)``.
+    def transfer(
+        self, uplink: Link, downlink: Link, size: int, event: Event, rx_ns: int = 0
+    ) -> None:
+        """Carry ``size`` bytes over two links; trigger ``event`` at the receiver.
 
         The sender's uplink is reserved now and one timeout runs to the
         switch; there the receiver's downlink is reserved, so frames
-        reaching a busy receiver queue in arrival order, and a second
-        timeout runs to delivery.  Serialization happens on both links,
+        reaching a busy receiver queue in arrival order, and ``event``
+        is scheduled for the arrival instant plus ``rx_ns`` (the
+        receiver's stack cost).  Serialization happens on both links,
         so incast congestion at a busy receiver and fan-out congestion
         at a busy sender both emerge naturally.  No process is involved:
         the transfer completes whatever happens to its sender.
         """
         now = self.env.now
-        uplink = self.host(message.src).uplink
-        entry = _InFlight(message, self.host(message.dst).downlink, on_delivered)
-        entry.start = max(now, uplink.free_at)
-        last = self._last_offered.get(message.src)
-        if last is not None and uplink.free_at >= now:
+        free_at = uplink.free_at
+        entry = _InFlight(uplink, downlink, size, event, rx_ns, now,
+                          free_at if free_at > now else now)
+        last = self._last_offered.get(uplink)
+        if last is not None and free_at >= now:
             entry.behind = last
-        self._last_offered[message.src] = entry
-        message.sent_at = now
-        due = uplink.reserve(message.size) + self.switch_ns
+        self._last_offered[uplink] = entry
+        due = uplink.reserve(size) + self.switch_ns
         self._due.setdefault(due, []).append(entry)
         self.env.timeout(due - now).callbacks.append(self._at_switch)
 
@@ -146,7 +158,9 @@ class Network:
         that found their uplink idle (in offer order) before those queued
         behind another message (in the order those were forwarded).  The
         order decides who waits when several messages reach one busy
-        downlink in the same nanosecond.
+        downlink in the same nanosecond.  Once forwarded, nothing stops a
+        message arriving, so it is counted as delivered and shown to the
+        taps here.
         """
         now = self.env.now
         due = self._due[now]
@@ -159,26 +173,29 @@ class Network:
         entry.rank = self._forwarded
         self._forwarded += 1
         entry.behind = None
-        arrival = entry.downlink.reserve(entry.message.size)
-        self.env.timeout(arrival - now).callbacks.append(lambda _event: self._deliver(entry))
-
-    def _deliver(self, entry: "_InFlight") -> None:
-        message = entry.message
-        message.delivered_at = self.env.now
+        size = entry.size
+        arrival = entry.downlink.reserve(size)
         self.messages_delivered += 1
         self._m_messages.add()
-        self._m_bytes.add(message.size)
-        self._m_delivery_ns.record(message.delivered_at - message.sent_at)
-        for tap in self.taps:
-            tap(message)
-        entry.on_delivered(message)
+        self._m_bytes.add(size)
+        self._m_delivery_ns.record(arrival - entry.sent_at)
+        if self.taps:
+            message = Message(self._link_host[entry.uplink], self._link_host[entry.downlink], size)
+            message.sent_at = entry.sent_at
+            message.delivered_at = arrival
+            for tap in self.taps:
+                tap(message)
+        entry.event.succeed(delay=arrival - now + entry.rx_ns)
 
     def send(self, message: Message) -> Generator:
         """Process: transfer a message into the destination host's inbox."""
+        dst = self.host(message.dst)
         delivered = self.env.event()
-        self.transfer(message, delivered.succeed)
+        message.sent_at = self.env.now
+        self.transfer(self.host(message.src).uplink, dst.downlink, message.size, delivered)
         yield delivered
-        yield self.host(message.dst).inbox.put(message)
+        message.delivered_at = self.env.now
+        yield dst.inbox.put(message)
 
     def send_async(self, message: Message):
         """Fire-and-forget variant returning the delivery Process event."""

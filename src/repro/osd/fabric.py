@@ -25,7 +25,7 @@ from ..sim import Environment, Event
 from ..status import BlkStatus
 from ..units import transfer_ns, us
 from .ops import OsdOp, OsdReply
-from ..net.message import Message
+from ..net.link import Link
 from ..net.stack import KERNEL_TCP, StackProfile
 from ..net.topology import Network
 
@@ -83,6 +83,22 @@ class MessageFaults:
         return None
 
 
+class _Route:
+    """How one entity's messages reach another: resolved once per pair."""
+
+    __slots__ = ("local", "src_stack", "dst_stack", "uplink", "downlink")
+
+    def __init__(self, local: bool, src_stack: StackProfile, dst_stack: StackProfile,
+                 uplink: Link, downlink: Link):
+        #: Both entities on one host: loopback, no wire.
+        self.local = local
+        self.src_stack = src_stack
+        self.dst_stack = dst_stack
+        #: The sender host's uplink and the receiver host's downlink.
+        self.uplink = uplink
+        self.downlink = downlink
+
+
 class Fabric:
     """Routes entity-to-entity messages across the network."""
 
@@ -91,6 +107,8 @@ class Fabric:
         self.network = network
         self._entity_host: dict[str, str] = {}
         self._entity_stack: dict[str, StackProfile] = {}
+        #: (src, dst) -> route, filled on a pair's first message.
+        self._routes: dict[tuple[str, str], _Route] = {}
         #: Per-entity delivery callbacks (see :meth:`attach`).
         self._receivers: dict[str, Callable[[Envelope], None]] = {}
         #: Crashed entities and the status their bounces carry: a process
@@ -148,23 +166,22 @@ class Fabric:
         damage the message after the sender's stack cost is paid; a dead
         destination bounces requests with a transport-error reply.
         """
-        src_host = self.host_of(src)
-        dst_host = self.host_of(dst)
+        route = self._routes.get((src, dst)) or self._route(src, dst)
         corrupted = False
-        if src_host == dst_host:
+        if route.local:
             yield self.env.timeout(LOOPBACK_NS + transfer_ns(nbytes, LOOPBACK_BW))
         else:
             action = self.faults.classify() if self.faults is not None else None
-            yield self.env.timeout(self._entity_stack[src].tx_ns(nbytes))
-            if not self.network.path_up(src_host, dst_host):
+            yield self.env.timeout(route.src_stack.tx_ns(nbytes))
+            if not (route.uplink.up and route.downlink.up):
                 self.link_drops += 1
                 return  # lost on a down link; sender's stack cost already paid
             if action == "drop":
                 return
-            processed = self._wire(src, dst, nbytes)
+            processed = self._wire(route, nbytes)
             if action == "duplicate":
                 # A second copy chases the first down the same path.
-                self._wire(src, dst, nbytes).callbacks.append(
+                self._wire(route, nbytes).callbacks.append(
                     lambda _event: self._deliver(src, dst, nbytes, payload, corrupted=False)
                 )
             # A sender killed while it waits here leaves its message on the
@@ -173,16 +190,33 @@ class Fabric:
             corrupted = action == "corrupt"
         self._deliver(src, dst, nbytes, payload, corrupted)
 
-    def _wire(self, src: str, dst: str, nbytes: int) -> Event:
+    def _route(self, src: str, dst: str) -> _Route:
+        """Resolve and remember how ``src`` reaches ``dst``.
+
+        Entities never change host (:meth:`register` refuses a second
+        binding) and hosts never change links, so a route stays valid;
+        link state, fault draws, crash marks and receivers are read live
+        on every message.
+        """
+        src_host, dst_host = self.host_of(src), self.host_of(dst)
+        route = self._routes[src, dst] = _Route(
+            src_host == dst_host,
+            self._entity_stack[src],
+            self._entity_stack[dst],
+            self.network.host(src_host).uplink,
+            self.network.host(dst_host).downlink,
+        )
+        return route
+
+    def _wire(self, route: _Route, nbytes: int) -> Event:
         """Start a cross-host wire transfer.
 
-        The returned event fires once the message has been delivered and
-        the receiver's stack has processed it (RX cost).
+        The returned event fires once the message has arrived and the
+        receiver's stack has processed it (RX cost).
         """
         processed = self.env.event()
-        msg = Message(self._entity_host[src], self._entity_host[dst], nbytes, payload=(src, dst))
         self.network.transfer(
-            msg, lambda _msg: processed.succeed(delay=self._entity_stack[dst].rx_ns(nbytes))
+            route.uplink, route.downlink, nbytes, processed, route.dst_stack.rx_ns(nbytes)
         )
         return processed
 

@@ -54,22 +54,21 @@ class ReferenceFabric(Fabric):
         return self._inbox[entity].get()
 
     def send(self, src: str, dst: str, nbytes: int, payload: Any) -> Generator:
-        src_host = self.host_of(src)
-        dst_host = self.host_of(dst)
+        route = self._routes.get((src, dst)) or self._route(src, dst)
         corrupted = False
-        if src_host == dst_host:
+        if route.local:
             yield self.env.timeout(LOOPBACK_NS + transfer_ns(nbytes, LOOPBACK_BW))
         else:
             action = self.faults.classify() if self.faults is not None else None
-            yield self.env.timeout(self._entity_stack[src].tx_ns(nbytes))
-            if not self.network.path_up(src_host, dst_host):
+            yield self.env.timeout(route.src_stack.tx_ns(nbytes))
+            if not (route.uplink.up and route.downlink.up):
                 self.link_drops += 1
                 return
             if action == "drop":
                 return
-            processed = self._wire(src, dst, nbytes)
+            processed = self._wire(route, nbytes)
             if action == "duplicate":
-                self._wire(src, dst, nbytes).callbacks.append(
+                self._wire(route, nbytes).callbacks.append(
                     lambda _event: self._deliver(src, dst, nbytes, payload, corrupted=False)
                 )
             yield processed

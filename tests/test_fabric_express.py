@@ -241,7 +241,7 @@ def test_an_answered_call_withdraws_its_deadline():
     assert env.now == answered[-1] == 11_404_000
     assert client._pending == {}
     # The withdrawn deadlines were scheduled all the same.
-    assert env._seq == 12_001
+    assert env._seq == 10_001
 
 
 def test_an_interrupted_caller_keeps_its_deadline():
@@ -274,7 +274,7 @@ def test_delivery_to_an_entity_with_no_receiver_raises():
         env.run()
 
 
-def test_cross_host_message_costs_four_events():
+def test_cross_host_message_costs_three_events():
     env, fabric = _fabric(2)
     arrived = []
     fabric.attach("e1", arrived.append)
@@ -282,8 +282,9 @@ def test_cross_host_message_costs_four_events():
     env.process(fabric.send("e0", "e1", kib(4), "op"))
     env.run()
     assert [envelope.payload for envelope in arrived] == ["op"]
-    # TX, switch, delivery and RX, plus the sending process's start.
-    assert env._seq - before == 1 + 4
+    # TX, switch, and arrival plus RX as one event, plus the sending
+    # process's start.
+    assert env._seq - before == 1 + 3
 
 
 ONE_WRITE = FioJob("w", "write", bs=kib(4), nrequests=1, size=kib(64))
@@ -317,33 +318,33 @@ def _prefilled(fw):
 
 # Each sub-op fan-out of n legs is one env.gather: 3 events and no
 # process, where a process per leg and their all_of join took 2n + 1.
-# The processes left are request handlers, blk-mq kicks, the driver's
-# queue_rq and the io_uring completion.
+# The processes left are request handlers, the blk-mq drain an insert
+# kicks, the driver's queue_rq and the io_uring completion.
 
 
 def test_one_direct_ec_write_event_budget(monkeypatch):
     fw = build_framework(DELIBAK, pool_spec=EC_POOL, object_size=kib(4))
     fw.image.direct = True
-    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (106, 10)
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (93, 9)
 
 
 def test_one_direct_ec_read_budget(monkeypatch):
     fw = _prefilled(build_framework(DELIBAK, pool_spec=EC_POOL, object_size=kib(4)))
     fw.image.direct = True
-    assert _job_cost(fw, ONE_READ, monkeypatch) == (79, 8)
+    assert _job_cost(fw, ONE_READ, monkeypatch) == (70, 7)
 
 
 def test_one_direct_replicated_write_budget(monkeypatch):
     fw = build_framework(DELIBAK, pool_spec=PoolSpec(size=3))
     fw.image.direct = True
-    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (68, 7)
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (61, 6)
 
 
 def test_one_primary_write_budget(monkeypatch):
     """Stock Ceph: the primary joins its two peer legs and its local apply."""
     fw = build_framework(SOFTWARE_CEPH, pool_spec=PoolSpec(size=3))
     assert not fw.image.direct
-    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (51, 6)
+    assert _job_cost(fw, ONE_WRITE, monkeypatch) == (46, 5)
 
 
 def test_one_two_object_rbd_write_budget(monkeypatch):
@@ -352,9 +353,9 @@ def test_one_two_object_rbd_write_budget(monkeypatch):
     fw = build_framework(DELIBAK, object_size=kib(4))
     fw.image.direct = True
     job = FioJob("w", "write", bs=kib(8), nrequests=1, size=kib(64))
-    assert _job_cost(fw, job, monkeypatch) == (86, 8)
+    assert _job_cost(fw, job, monkeypatch) == (77, 7)
 
 
 def test_one_replicated_read_event_budget(monkeypatch):
     fw = _prefilled(build_framework(DELIBAK))
-    assert _job_cost(fw, ONE_READ, monkeypatch) == (40, 5)
+    assert _job_cost(fw, ONE_READ, monkeypatch) == (37, 4)

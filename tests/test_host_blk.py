@@ -287,6 +287,36 @@ def test_tag_exhaustion_backpressure():
     assert dispatch_times[-1] >= us(200)  # third wave waited for tags
 
 
+def test_a_completion_with_an_empty_elevator_starts_no_drain(monkeypatch):
+    env, kernel, blk, driver = make_stack(
+        BlkMqConfig(num_hw_queues=1, scheduler="none", merge_enabled=False)
+    )
+    names = []
+    process = Environment.process
+
+    def counted(env, generator, name=""):
+        names.append(name)
+        return process(env, generator, name)
+
+    monkeypatch.setattr(Environment, "process", counted)
+    run_bios(env, kernel, blk, [Bio(IoOp.READ, 0, 4096)])
+    assert driver.seen[0].completed_at > 0
+    # The insert's drain only: the completion found nothing to dispatch.
+    assert [n for n in names if n.endswith(".drain")] == ["hctx0.drain"]
+
+
+def test_the_completion_that_frees_the_last_tag_dispatches_at_once():
+    env = Environment()
+    kernel = HostKernel(env, num_cores=2)
+    driver = NullDriver(env, service_ns=us(10))
+    blk = BlockLayer(env, kernel, driver.queue_rq, BlkMqConfig(
+        num_hw_queues=1, tags_per_queue=1, scheduler="none", merge_enabled=False))
+    run_bios(env, kernel, blk, [Bio(IoOp.READ, 0, 4096), Bio(IoOp.READ, 1000, 4096)])
+    first, second = driver.seen
+    assert second.submitted_at < first.completed_at
+    assert second.dispatched_at == first.completed_at
+
+
 def test_per_core_hctx_mapping():
     env, kernel, blk, driver = make_stack(
         BlkMqConfig(num_hw_queues=4, scheduler="none", merge_enabled=False)
