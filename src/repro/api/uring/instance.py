@@ -112,38 +112,15 @@ class IoUring:
 
     # -- application side -------------------------------------------------------
 
-    def prepare(self, bio: Bio, flags: int = 0) -> Sqe:
-        """Fill the next SQE for ``bio`` (raises :class:`RingFullError`).
-
-        Pass ``flags=IOSQE_IO_LINK`` to chain this SQE to the next one:
-        the kernel starts the successor only after this I/O completes,
-        and cancels the rest of the chain (``-ECANCELED``) on failure.
-        """
-        if bio.op == IoOp.READ:
-            opcode = UringOp.READ_FIXED if self.fixed_buffers else UringOp.READ
-        else:
-            opcode = UringOp.WRITE_FIXED if self.fixed_buffers else UringOp.WRITE
-        sqe = Sqe(
-            opcode=opcode,
-            fd=0,
-            offset=bio.offset,
-            length=bio.size,
-            user_data=next(_user_data),
-            flags=flags,
-            bio=bio,
-        )
-        # The causal tree is rooted where the application hands the op
-        # to the kernel interface: SQE preparation.
-        self.blk.tracer.open_root(bio)
-        self.sq.push(sqe)
-        return sqe
-
     def prepare_many(self, bios: list[Bio], flags: int = 0) -> list[Sqe]:
-        """Fill SQEs for a whole batch of bios in one call.
+        """Fill the next SQEs, one per bio, in order; all-or-nothing on SQ space.
 
-        Equivalent to calling :meth:`prepare` per bio (same SQEs, same
-        user_data order) with the per-call overhead hoisted out of the
-        loop; all-or-nothing on SQ space.
+        Raises :class:`RingFullError` when the batch does not fit.  Pass
+        ``flags=IOSQE_IO_LINK`` to chain each SQE to the next one: the
+        kernel starts the successor only after this I/O completes, and
+        cancels the rest of the chain (``-ECANCELED``) on failure.  The
+        causal tree of each bio is rooted here, where the application
+        hands the op to the kernel interface.
         """
         open_root = self.blk.tracer.open_root
         fixed = self.fixed_buffers

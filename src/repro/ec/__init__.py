@@ -9,7 +9,6 @@ from .gf256 import (
     gf_add,
     gf_div,
     gf_inv,
-    gf_matmul,
     gf_matmul_rows,
     gf_mul,
     gf_pow,
@@ -34,7 +33,6 @@ __all__ = [
     "gf_add",
     "gf_div",
     "gf_inv",
-    "gf_matmul",
     "gf_matmul_rows",
     "gf_mul",
     "gf_pow",

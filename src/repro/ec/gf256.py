@@ -109,23 +109,3 @@ def gf_matmul_rows(mat, rows) -> list[bytes]:
                 acc ^= int.from_bytes(row if c == 1 else row.translate(_MUL[c]), "little")
         out.append(acc.to_bytes(size, "little"))
     return out
-
-
-def gf_matmul(mat: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2^8) on byte blocks, as arrays.
-
-    ``mat`` is (m, k) of uint8 coefficients; ``data`` is (k, blocksize)
-    bytes.  Returns (m, blocksize), computed by :func:`gf_matmul_rows`.
-    """
-    mat = np.asarray(mat, dtype=np.uint8)
-    data = np.asarray(data, dtype=np.uint8)
-    if mat.ndim != 2 or data.ndim != 2:
-        raise ErasureCodingError(f"gf_matmul needs 2-D inputs, got {mat.shape} x {data.shape}")
-    m, k = mat.shape
-    if data.shape[0] != k:
-        raise ErasureCodingError(f"shape mismatch: mat {mat.shape} vs data {data.shape}")
-    blocksize = data.shape[1]
-    if m == 0 or k == 0 or blocksize == 0:
-        return np.zeros((m, blocksize), dtype=np.uint8)
-    out = gf_matmul_rows(mat.tolist(), [row.tobytes() for row in data])
-    return np.frombuffer(bytearray(b"".join(out)), dtype=np.uint8).reshape(m, blocksize)

@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import DecodeError, ErasureCodingError
-from .gf256 import gf_matmul, gf_matmul_rows
+from .gf256 import gf_matmul_rows
 from .matrix import gauss_jordan_invert, systematic_cauchy, systematic_vandermonde
 
 
@@ -78,14 +76,6 @@ class ReedSolomon:
         """Bytes per shard for an object of ``data_len`` (zero-padded)."""
         return (data_len + self.k - 1) // self.k if data_len else 1
 
-    def split(self, data: bytes) -> np.ndarray:
-        """Object bytes -> (k, shard_size) array, zero padded."""
-        size = self.shard_size(len(data))
-        buf = np.zeros((self.k, size), dtype=np.uint8)
-        flat = np.frombuffer(data, dtype=np.uint8)
-        buf.reshape(-1)[: len(flat)] = flat
-        return buf
-
     # -- encode / decode ------------------------------------------------------------
 
     def encode(self, data: bytes) -> list[bytes]:
@@ -96,15 +86,6 @@ class ReedSolomon:
         shards += gf_matmul_rows(self._parity, shards)
         self.bytes_processed += len(shards) * size
         return shards
-
-    def encode_shards(self, data_shards: np.ndarray) -> np.ndarray:
-        """Parity rows for pre-split data shards (array in, array out)."""
-        if data_shards.shape[0] != self.k:
-            raise ErasureCodingError(
-                f"expected {self.k} data shards, got {data_shards.shape[0]}"
-            )
-        self.bytes_processed += data_shards.size * (1 + self.m / max(1, self.k))
-        return gf_matmul(self.generator[self.k :], data_shards)
 
     def encode_batch(self, objects: Sequence[bytes]) -> list[list[bytes]]:
         """Encode many objects: :meth:`encode` per object.

@@ -4,8 +4,9 @@ Models the paper's testbed fabric: every host has a full-duplex 10 GbE
 port (uplink + downlink :class:`Link`), and the switch adds a fixed
 store-and-forward latency.  :meth:`Network.transfer` carries a message
 between two links with one timeout to the switch and one event at the
-receiver; :meth:`Network.send` wraps it as a process that places a
-:class:`Message` in the destination host's inbox.
+receiver; :meth:`Network.send` wraps it as a process that carries a
+:class:`Message` and returns it stamped with its send and delivery
+instants.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import NetworkError
-from ..sim import NULL_METRICS, Environment, Event, FilterStore
+from ..sim import NULL_METRICS, Environment, Event
 from ..units import gbps, us
 from .link import DEFAULT_MTU, Link
 from .message import Message
@@ -27,12 +28,11 @@ DEFAULT_SWITCH_NS = us(1.5)
 
 
 class Host:
-    """A network endpoint with an inbox per host."""
+    """A network endpoint: its uplink to the switch and its downlink back."""
 
     def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
-        self.inbox: FilterStore = FilterStore(env, name=f"inbox:{name}")
         self.uplink: Optional[Link] = None
         self.downlink: Optional[Link] = None
 
@@ -188,18 +188,17 @@ class Network:
         entry.event.succeed(delay=arrival - now + entry.rx_ns)
 
     def send(self, message: Message) -> Generator:
-        """Process: transfer a message into the destination host's inbox."""
+        """Process: carry ``message`` to its destination host and return it.
+
+        ``sent_at`` and ``delivered_at`` are stamped on the way.
+        """
         dst = self.host(message.dst)
         delivered = self.env.event()
         message.sent_at = self.env.now
         self.transfer(self.host(message.src).uplink, dst.downlink, message.size, delivered)
         yield delivered
         message.delivered_at = self.env.now
-        yield dst.inbox.put(message)
-
-    def send_async(self, message: Message):
-        """Fire-and-forget variant returning the delivery Process event."""
-        return self.env.process(self.send(message), name=f"net:{message.src}->{message.dst}")
+        return message
 
     def utilization_report(self, elapsed_ns: int) -> dict[str, float]:
         """Per-link achieved Gb/s over ``elapsed_ns`` (wire bytes incl. framing).

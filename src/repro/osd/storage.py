@@ -3,8 +3,14 @@
 A device is a queued server: fixed per-op media latency (different for
 sequential and random access, reads and writes) plus size/bandwidth
 transfer time, with bounded internal parallelism (NVMe queue channels).
-Sequential reads additionally hit a simple readahead cache — this is the
-mechanism behind the paper's ~2x seq-vs-random read latency gap.
+Sequential reads additionally hit a per-object readahead cache: a read
+that continues an object's previous read costs ``readahead_hit_ns``
+(3 us on NVMe) instead of the random-read latency (20 us) until the
+window is consumed.  That alone does not reproduce the paper's
+sequential-read advantage: in Table II, random 4 kB reads take
+1.16-1.33x as long as sequential ones on replicated pools and 1.00x on
+EC pools, where the paper measures 1.55-2.0x.  ROADMAP item 9 (the
+paper-conformance scoreboard) tracks the gap.
 """
 
 from __future__ import annotations

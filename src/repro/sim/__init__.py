@@ -2,8 +2,8 @@
 
 Public surface: :class:`Environment` (clock + event queue), generator
 processes, :class:`Resource`/:class:`Semaphore` for counted servers,
-:class:`Store`/:class:`FilterStore` mailboxes, deterministic RNG streams,
-measurement monitors, and the hierarchical :class:`MetricsRegistry`.
+deterministic RNG streams, measurement monitors, and the hierarchical
+:class:`MetricsRegistry`.
 """
 
 from .core import Condition, Environment, Event, Gather, Process, Timeout
@@ -18,7 +18,6 @@ from .monitor import (
 )
 from .resources import Request, Resource, Semaphore
 from .rng import RngRegistry, RngStream
-from .store import FilterStore, Store
 
 __all__ = [
     "Condition",
@@ -26,7 +25,6 @@ __all__ = [
     "Distribution",
     "Environment",
     "Event",
-    "FilterStore",
     "Gather",
     "Gauge",
     "LatencyRecorder",
@@ -40,7 +38,6 @@ __all__ = [
     "RngRegistry",
     "RngStream",
     "Semaphore",
-    "Store",
     "ThroughputMeter",
     "TimeSeries",
     "Timeout",

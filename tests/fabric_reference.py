@@ -1,8 +1,8 @@
 """Inbox-and-loop reference for :class:`repro.osd.fabric.Fabric` delivery.
 
 This is the messaging model direct delivery replaced: the fabric puts
-each delivered :class:`Envelope` into the destination's inbox
-:class:`~repro.sim.Store` and the sender waits for the put; each
+each delivered :class:`Envelope` into the destination's inbox (a
+``Store`` from ``store_reference.py``) and the sender waits for the put; each
 messenger runs a demux loop process parked on its inbox, spawns every
 request handler with a completion callback that untracks it, and waits
 on a call with a deadline through an ``any_of`` condition.  The
@@ -26,9 +26,10 @@ from repro.errors import ProcessKilled
 from repro.net import KERNEL_TCP
 from repro.osd.fabric import LOOPBACK_BW, LOOPBACK_NS, Envelope, Fabric, Messenger
 from repro.osd.ops import OsdOp, OsdReply
-from repro.sim import Store
 from repro.status import BlkStatus
 from repro.units import transfer_ns
+
+from .store_reference import Store
 
 
 class ReferenceFabric(Fabric):

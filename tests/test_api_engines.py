@@ -146,7 +146,7 @@ def test_uring_single_io_roundtrip(mode):
     got = []
 
     def proc(env):
-        ring.prepare(bios_seq(1)[0])
+        ring.prepare_many(bios_seq(1))
         yield from ring.submit()
         cqes = yield from ring.wait_cqes(1)
         got.extend(cqes)
@@ -163,8 +163,7 @@ def test_uring_sqpoll_saves_syscalls():
     ring = IoUring(env, kernel, blk, entries=8, mode=UringMode.SQPOLL)
 
     def proc(env):
-        for bio in bios_seq(4):
-            ring.prepare(bio)
+        ring.prepare_many(bios_seq(4))
         yield from ring.submit()
         yield from ring.wait_cqes(4)
 
@@ -179,8 +178,7 @@ def test_uring_batching_one_syscall_per_batch():
     ring = IoUring(env, kernel, blk, entries=16, mode=UringMode.POLL)
 
     def proc(env):
-        for bio in bios_seq(8):
-            ring.prepare(bio)
+        ring.prepare_many(bios_seq(8))
         yield from ring.submit()
         yield from ring.wait_cqes(8, max_cqes=8)
 
@@ -195,7 +193,7 @@ def test_uring_fixed_buffers_skip_copies():
         ring = IoUring(env, kernel, blk, entries=8, mode=UringMode.POLL, fixed_buffers=fixed)
 
         def proc(env):
-            ring.prepare(Bio(IoOp.WRITE, 0, 4096, data=b"\x00" * 4096))
+            ring.prepare_many([Bio(IoOp.WRITE, 0, 4096, data=b"\x00" * 4096)])
             yield from ring.submit()
             yield from ring.wait_cqes(1)
 
@@ -210,10 +208,10 @@ def test_uring_fixed_buffers_skip_copies():
 def test_uring_sq_full_raises():
     env, kernel, blk, _ = make_stack()
     ring = IoUring(env, kernel, blk, entries=2, mode=UringMode.POLL)
-    ring.prepare(bios_seq(1)[0])
-    ring.prepare(bios_seq(1)[0])
+    ring.prepare_many(bios_seq(1))
+    ring.prepare_many(bios_seq(1))
     with pytest.raises(RingFullError):
-        ring.prepare(bios_seq(1)[0])
+        ring.prepare_many(bios_seq(1))
 
 
 def test_uring_wait_validation():
@@ -407,9 +405,9 @@ def test_linked_sqes_execute_in_order():
     blk.hctxs[0].queue_rq = tracking
 
     def proc(env):
-        ring.prepare(bios_seq(1)[0], flags=IOSQE_IO_LINK)
-        ring.prepare(bios_seq(1)[0], flags=IOSQE_IO_LINK)
-        ring.prepare(bios_seq(1)[0])
+        ring.prepare_many(bios_seq(1), flags=IOSQE_IO_LINK)
+        ring.prepare_many(bios_seq(1), flags=IOSQE_IO_LINK)
+        ring.prepare_many(bios_seq(1))
         yield from ring.submit()
         yield from ring.wait_cqes(3, max_cqes=3)
 
@@ -427,8 +425,7 @@ def test_unlinked_sqes_overlap():
     ring = IoUring(env, kernel, blk, entries=8, mode=UringMode.POLL)
 
     def proc(env):
-        for bio in bios_seq(3):
-            ring.prepare(bio)
+        ring.prepare_many(bios_seq(3))
         yield from ring.submit()
         yield from ring.wait_cqes(3, max_cqes=3)
 
@@ -457,9 +454,9 @@ def test_linked_chain_cancels_after_failure():
     got = []
 
     def proc(env):
-        ring.prepare(bios_seq(1)[0], flags=IOSQE_IO_LINK)
-        ring.prepare(bios_seq(1)[0], flags=IOSQE_IO_LINK)
-        ring.prepare(bios_seq(1)[0])
+        ring.prepare_many(bios_seq(1), flags=IOSQE_IO_LINK)
+        ring.prepare_many(bios_seq(1), flags=IOSQE_IO_LINK)
+        ring.prepare_many(bios_seq(1))
         yield from ring.submit()
         cqes = yield from ring.wait_cqes(3, max_cqes=3)
         got.extend(cqes)

@@ -256,8 +256,8 @@ def test_cmac_monitor_counts_flows():
     monitor = CmacNetworkMonitor(env, net)
     monitor.attach()
     for _ in range(5):
-        net.send_async(Message("a", "b", 4096))
-    net.send_async(Message("c", "b", 1024))
+        env.process(net.send(Message("a", "b", 4096)))
+    env.process(net.send(Message("c", "b", 1024)))
     env.run()
     assert monitor.total_frames == 6
     assert monitor.flows[("a", "b")].frames == 5
@@ -308,6 +308,6 @@ def test_cmac_monitor_attach_detach():
     with pytest.raises(DriverError):
         monitor.attach()
     monitor.detach()
-    net.send_async(Message("a", "b", 512))
+    env.process(net.send(Message("a", "b", 512)))
     env.run()
     assert monitor.total_frames == 0  # detached: nothing observed

@@ -11,13 +11,17 @@ from repro.ec import (
     ReedSolomon,
     cauchy,
     gauss_jordan_invert,
-    gf_matmul,
+    gf_matmul_rows,
     systematic_cauchy,
     systematic_vandermonde,
 )
 from repro.errors import DecodeError, ErasureCodingError
 
-from .ec_reference import reference_decode, reference_shard
+from .ec_reference import reference_decode, reference_matmul, reference_shard
+
+
+def _rows(arr: np.ndarray) -> list[bytes]:
+    return [row.tobytes() for row in arr]
 
 
 # --- generator matrices ---------------------------------------------------------
@@ -43,16 +47,19 @@ def test_any_k_rows_invertible(maker):
     for rows in itertools.combinations(range(k + m), k):
         sub = g[list(rows)]
         inv = gauss_jordan_invert(sub)  # must not raise
-        assert np.array_equal(gf_matmul(inv, sub), np.eye(k, dtype=np.uint8))
+        eye = _rows(np.eye(k, dtype=np.uint8))
+        assert gf_matmul_rows(inv.tolist(), _rows(sub)) == eye
+        assert _rows(reference_matmul(inv, sub)) == eye
 
 
 def test_gauss_jordan_inverts():
     rng = np.random.default_rng(3)
     mat = systematic_vandermonde(5, 3)[[0, 2, 5, 6, 7]]
     inv = gauss_jordan_invert(mat)
-    prod = gf_matmul(inv, mat.astype(np.uint8))
     # inv @ mat over GF should be identity; verify via action on identity.
-    assert np.array_equal(prod, np.eye(5, dtype=np.uint8))
+    eye = _rows(np.eye(5, dtype=np.uint8))
+    assert gf_matmul_rows(inv.tolist(), _rows(mat)) == eye
+    assert _rows(reference_matmul(inv, mat)) == eye
 
 
 def test_singular_matrix_raises():
@@ -227,8 +234,3 @@ def test_profile_validation():
     with pytest.raises(ErasureCodingError):
         ReedSolomon(4, 2, technique="magic")
 
-
-def test_encode_shards_validation():
-    rs = ReedSolomon(4, 2)
-    with pytest.raises(ErasureCodingError):
-        rs.encode_shards(np.zeros((3, 8), dtype=np.uint8))

@@ -99,12 +99,11 @@ def test_network_unknown_host():
 def test_network_delivery_and_latency():
     env, net = make_net(2)
     msg = Message("h0", "h1", 4096)
-    net.send_async(msg)
+    sent = env.process(net.send(msg))
     env.run()
     assert msg.delivered_at > 0
     assert net.messages_delivered == 1
-    got = net.host("h1").inbox.try_get()
-    assert got is msg
+    assert sent.value is msg
     # Latency = 2 serializations + 2 hops + switch.
     assert msg.latency_ns == net.min_latency_ns(4096)
 
@@ -124,7 +123,7 @@ def test_network_throughput_cap():
 
     # Pipelined transfers: uplink serialization becomes the bottleneck.
     for _ in range(n_msgs):
-        net.send_async(Message("h0", "h1", size))
+        env.process(net.send(Message("h0", "h1", size)))
     env.run()
     elapsed = env.now
     achieved_bps = n_msgs * size / (elapsed / SEC)
@@ -168,7 +167,7 @@ def test_stack_cost_ordering():
 def test_network_utilization_report():
     env, net = make_net(2)
     for _ in range(20):
-        net.send_async(Message("h0", "h1", kib(64)))
+        env.process(net.send(Message("h0", "h1", kib(64))))
     env.run()
     report = net.utilization_report(env.now)
     # The sender's uplink and receiver's downlink carried the traffic.

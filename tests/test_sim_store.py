@@ -1,9 +1,11 @@
-"""Unit tests for Store and FilterStore."""
+"""Unit tests for the reference mailbox ``Store`` (``store_reference.py``)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Environment, FilterStore, Store
+from repro.sim import Environment
+
+from .store_reference import Store
 
 
 def test_store_fifo_order():
@@ -109,60 +111,6 @@ def test_try_get_unblocks_putter():
     assert store.try_get() == 1
     env.run()
     assert done == [0]
-
-
-def test_filter_store_matches_predicate():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x % 2 == 0)
-        got.append(item)
-
-    env.process(consumer(env))
-    store.put(1)
-    store.put(3)
-    store.put(4)
-    env.run()
-    assert got == [4]
-    assert list(store.items) == [1, 3]
-
-
-def test_filter_store_waits_for_match():
-    env = Environment()
-    store = FilterStore(env)
-    got = []
-
-    def consumer(env):
-        item = yield store.get(lambda x: x == "wanted")
-        got.append((env.now, item))
-
-    def producer(env):
-        yield store.put("other")
-        yield env.timeout(10)
-        yield store.put("wanted")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert got == [(10, "wanted")]
-
-
-def test_filter_store_plain_get_fifo():
-    env = Environment()
-    store = FilterStore(env)
-    store.put("a")
-    store.put("b")
-    got = []
-
-    def consumer(env):
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    env.process(consumer(env))
-    env.run()
-    assert got == ["a", "b"]
 
 
 def test_interrupted_getter_does_not_swallow_items():
