@@ -22,8 +22,8 @@ from repro.units import to_ms
 
 def main() -> None:
     env = Environment()
-    metrics = MetricsRegistry()
-    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=4), metrics=metrics)
+    metrics = env.metrics = MetricsRegistry()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=4))
     pool = cluster.create_replicated_pool("rbd", pg_num=64, size=3)
     client = cluster.new_client()
     # Online recovery: every epoch bump re-peers the PGs and backfills

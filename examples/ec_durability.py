@@ -16,8 +16,8 @@ from repro.units import to_ms
 
 def main() -> None:
     env = Environment()
-    metrics = MetricsRegistry()
-    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=6), metrics=metrics)
+    metrics = env.metrics = MetricsRegistry()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=6))
     k, m = 4, 2
     pool = cluster.create_erasure_pool("ecpool", pg_num=64, k=k, m=m)
     client = cluster.new_client()

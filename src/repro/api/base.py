@@ -86,12 +86,7 @@ class AioEngine(ABC):
         self.env = env
         self.kernel = kernel
         self.blk = blk
-        self._m_errors = blk.metrics.counter(f"api.{self.name}.errors")
-
-    @property
-    def metrics(self):
-        """The stack-wide metrics registry (shared via the block layer)."""
-        return self.blk.metrics
+        self._m_errors = env.metrics.counter(f"api.{self.name}.errors")
 
     def open_throughput_meter(self):
         """The engine's ``api.<name>.throughput`` meter, window opened now.
@@ -100,7 +95,7 @@ class AioEngine(ABC):
         op's service time (opening at the first *completion* instead
         inflates MB/s and KIOPS at low op counts).
         """
-        meter = self.metrics.meter(f"api.{self.name}.throughput")
+        meter = self.env.metrics.meter(f"api.{self.name}.throughput")
         meter.start(self.env.now)
         return meter
 
@@ -109,15 +104,13 @@ class AioEngine(ABC):
     ) -> None:
         """Account one completed I/O, the same way on every engine.
 
-        Its latency always counts and the health layer, when attached,
-        sees it with ``root``, its causal span tree; its bytes move only
-        when it succeeded, and a failed I/O counts as an error instead
+        Its latency always counts and the run's health hooks see it with
+        ``root``, its causal span tree; its bytes move only when it
+        succeeded, and a failed I/O counts as an error instead
         (fio-style).
         """
         result.latencies_ns.append(latency_ns)
-        health = self.blk.health
-        if health is not None:
-            health.observe_client(bio.op.value, bio.tenant, latency_ns, ok, root)
+        self.env.health.observe_client(bio.op.value, bio.tenant, latency_ns, ok, root)
         if ok:
             result.bytes_moved += bio.size
             meter.record(bio.size, self.env.now)

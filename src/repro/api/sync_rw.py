@@ -52,7 +52,7 @@ class SyncEngine(AioEngine):
         """Process: one syscall's I/O; returns whether it succeeded."""
         # The causal tree is rooted at the syscall, so its duration is
         # the latency the worker measures.
-        self.blk.tracer.open_root(bio)
+        self.env.tracer.open_root(bio)
         # Syscall entry.
         yield from self.kernel.syscall(core)
         if self.buffered and bio.op == IoOp.WRITE:

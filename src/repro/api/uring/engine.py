@@ -22,9 +22,6 @@ from ...sim import Environment
 from ..base import AioEngine, RunResult
 from .instance import IoUring, UringCosts, UringMode
 
-#: Completion record of a CQE that never went through ``_post_cqe``.
-_NOT_POSTED = (0, NULL_SPAN)
-
 
 class UringEngine(AioEngine):
     """The io_uring API engine."""
@@ -92,8 +89,8 @@ class UringEngine(AioEngine):
         self, inst: IoUring, shard: deque, depth: int, result: RunResult, meter
     ) -> Generator:
         """One submitter thread: batch-fill SQ, submit, reap, refill."""
-        submit_times: dict[int, int] = {}
-        bios: dict[int, Bio] = {}
+        # user_data -> (submission instant, bio) of each SQE in flight.
+        pending: dict[int, tuple[int, Bio]] = {}
         inflight = 0
         while shard or inflight:
             # Batched fill: the push count is bounded by four independent
@@ -104,23 +101,22 @@ class UringEngine(AioEngine):
                 batch = [shard.popleft() for _ in range(pushed)]
                 now = self.env.now
                 for sqe, bio in zip(inst.prepare_many(batch), batch):
-                    submit_times[sqe.user_data] = now
-                    bios[sqe.user_data] = bio
+                    pending[sqe.user_data] = (now, bio)
                 inflight += pushed
                 yield from inst.submit()
             if inflight:
                 cqes = yield from inst.wait_cqes(wait_nr=1, max_cqes=self.batch_size)
+                now = self.env.now
                 for cqe in cqes:
+                    submitted, bio = pending.pop(cqe.user_data)
                     # Close the causal tree at the reap: root duration now
                     # equals the recorded latency.  (A cancelled link-chain
                     # SQE never posted through _post_cqe: no stage to close.)
-                    t0, root = inst._complete_t0.pop(cqe.user_data, _NOT_POSTED)
-                    root.record("complete", "stage", t0, self.env.now)
+                    posted = inst._complete_t0.pop(cqe.user_data, None)
+                    root = NULL_SPAN if posted is None else bio.obs_span
+                    root.record("complete", "stage", posted, now)
                     root.finish(ok=cqe.ok)
-                    latency = self.env.now - submit_times.pop(cqe.user_data)
-                    self._complete(
-                        result, meter, bios.pop(cqe.user_data), latency, cqe.ok, root
-                    )
+                    self._complete(result, meter, bio, now - submitted, cqe.ok, root)
                     inflight -= 1
 
     def total_syscalls_saved(self) -> int:

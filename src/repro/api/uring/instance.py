@@ -92,17 +92,16 @@ class IoUring:
         self.core = core or kernel.cpus.pick_core()
         self.sq = Ring(entries)
         self.cq = Ring(2 * entries)
-        self._inflight: dict[int, Sqe] = {}
-        #: user_data -> (completion fire time, the bio's span tree): the
-        #: reaper closes the tree's ``complete`` stage from these.
-        self._complete_t0: dict[int, tuple[int, object]] = {}
+        #: user_data -> instant its CQE post began: the reaper closes the
+        #: bio's ``complete`` stage from it.
+        self._complete_t0: dict[int, int] = {}
         self._cq_waiter: Optional[Event] = None
         self._sq_kick: Optional[Event] = None
         self._sqpoll_proc = None
         self.syscalls_saved = 0
         self.sqes_submitted = 0
         self.cqes_reaped = 0
-        metrics = blk.metrics
+        metrics = env.metrics
         self._m_batch = metrics.distribution("uring.sqe_batch_size")
         self._m_sqes = metrics.counter("uring.sqes_submitted")
         self._m_cqes = metrics.counter("uring.cqes_reaped")
@@ -122,7 +121,7 @@ class IoUring:
         causal tree of each bio is rooted here, where the application
         hands the op to the kernel interface.
         """
-        open_root = self.blk.tracer.open_root
+        open_root = self.env.tracer.open_root
         fixed = self.fixed_buffers
         sqes = []
         for bio in bios:
@@ -174,7 +173,6 @@ class IoUring:
     def _kernel_drain_sq(self, core: CpuCore) -> Generator:
         sq = self.sq
         kernel_sqe_ns = self.costs.kernel_sqe_ns
-        inflight = self._inflight
         while not sq.is_empty:
             sqe = sq.pop()
             if not sqe.flags & IOSQE_IO_LINK:
@@ -184,7 +182,6 @@ class IoUring:
                 if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.WRITE:
                     # Unregistered buffers pay a user->kernel copy.
                     yield from self.kernel.copy(core, sqe.length)
-                inflight[sqe.user_data] = sqe
                 self.sqes_submitted += 1
                 self._m_sqes.add()
                 request = yield from self.blk.submit_bio(core, sqe.bio)
@@ -199,7 +196,6 @@ class IoUring:
                 yield from core.run(kernel_sqe_ns)
                 if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.WRITE:
                     yield from self.kernel.copy(core, sqe.length)
-                inflight[sqe.user_data] = sqe
                 self.sqes_submitted += 1
                 self._m_sqes.add()
             if len(chain) == 1:
@@ -217,7 +213,6 @@ class IoUring:
         for sqe in chain:
             if failed:
                 yield from self.core.run(self.costs.post_cqe_ns)
-                self._inflight.pop(sqe.user_data, None)
                 self.cq.push(Cqe(user_data=sqe.user_data, res=ECANCELED))
                 self._wake_cq_waiter()
                 continue
@@ -239,7 +234,7 @@ class IoUring:
             request.completion.callbacks.append(on_complete)
 
     def _post_cqe(self, sqe: Sqe, request) -> Generator:
-        self._complete_t0[sqe.user_data] = (self.env.now, sqe.bio.obs_span)
+        self._complete_t0[sqe.user_data] = self.env.now
         yield from self.core.run(self.costs.post_cqe_ns)
         if not sqe.is_fixed_buffer and sqe.bio.op == IoOp.READ:
             yield from self.kernel.copy(self.core, sqe.length)
@@ -249,7 +244,6 @@ class IoUring:
             # Legacy string-only failure (no status set): generic -EIO.
             status = BlkStatus.IOERR
         res = sqe.length if not status else -status.errno
-        self._inflight.pop(sqe.user_data, None)
         self.cq.push(Cqe(user_data=sqe.user_data, res=res))
         if self.mode == UringMode.INTERRUPT:
             yield from self.kernel.interrupt(self.core)

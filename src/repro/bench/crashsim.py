@@ -113,7 +113,7 @@ class CrashSimStats:
 
 def _build(seed: int, pool_kind: str):
     env = Environment()
-    metrics = MetricsRegistry()
+    env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=SERVERS,
         osds_per_host=OSDS_PER_HOST,
@@ -124,7 +124,7 @@ def _build(seed: int, pool_kind: str):
         durability=DurabilityConfig(persist_p=0.35, tear_p=0.35, record_events=True),
         seed=seed,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     if pool_kind == "replicated":
         pool = cluster.create_replicated_pool("pool", pg_num=PG_NUM, size=3)
     else:

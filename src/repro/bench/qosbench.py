@@ -129,12 +129,12 @@ def run_qos_scenario(
     (the work-conservation baseline).
     """
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=SERVERS, osds_per_host=OSDS_PER_HOST,
         osd_config=OSD_CONFIG, seed=seed,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     pool = cluster.create_replicated_pool("pool", pg_num=PG_NUM, size=3)
     if qos:
         config = QosConfig(tenants={

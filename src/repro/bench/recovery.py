@@ -113,7 +113,7 @@ def _build(
     durable: bool = False,
 ):
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=SERVERS,
         osds_per_host=OSDS_PER_HOST,
@@ -122,7 +122,7 @@ def _build(
         durability=DurabilityConfig() if durable else None,
         seed=seed,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     if pool_kind == "replicated":
         pool = cluster.create_replicated_pool("pool", pg_num=PG_NUM, size=3)
     else:

@@ -21,8 +21,7 @@ from typing import Callable, Generator, Optional
 from ..errors import BlockLayerError
 from ..host import HostKernel
 from ..host.cpu import CpuCore
-from ..obs.context import NULL_TRACER
-from ..sim import NULL_METRICS, Environment, Semaphore
+from ..sim import Environment, Semaphore
 from .bio import Bio, Request
 from .scheduler import scheduler_factory
 
@@ -63,7 +62,6 @@ class HardwareContext:
         index: int,
         config: BlkMqConfig,
         queue_rq: QueueRq,
-        metrics=None,
     ):
         self.env = env
         self.index = index
@@ -73,7 +71,7 @@ class HardwareContext:
         self.queue_rq = queue_rq
         self.dispatched = 0
         self._draining = False
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_dispatched = metrics.counter(f"blk.hwq{index}.dispatched")
         self._m_req_errors = metrics.counter("blk.request_errors")
         #: In-flight request count (tags in use) over time.
@@ -145,31 +143,20 @@ class BlockLayer:
         kernel: HostKernel,
         queue_rq: QueueRq,
         config: Optional[BlkMqConfig] = None,
-        tracer=None,
-        metrics=None,
     ):
         self.env = env
         self.kernel = kernel
-        #: Causal tracer the engines root their ops' span trees in
-        #: (the null tracer when the stack is untraced).
-        self.tracer = tracer or NULL_TRACER
-        #: MetricsRegistry shared by the whole stack (no-op by default).
-        self.metrics = metrics or NULL_METRICS
-        #: Set by ``repro.obs.health.HealthLayer.attach``: client-side
-        #: completion accounting shared by every engine over this layer
-        #: (numjobs > 1 builds extra engines, one block layer).
-        self.health = None
         self.config = config or BlkMqConfig()
         if self.config.num_hw_queues < 1:
             raise BlockLayerError("need at least one hardware queue")
         self.hctxs = [
-            HardwareContext(env, i, self.config, queue_rq, metrics=self.metrics)
+            HardwareContext(env, i, self.config, queue_rq)
             for i in range(self.config.num_hw_queues)
         ]
         self.bios_submitted = 0
         self.merges = 0
-        self._m_bios = self.metrics.counter("blk.bios_submitted")
-        self._m_merges = self.metrics.counter("blk.merges")
+        self._m_bios = env.metrics.counter("blk.bios_submitted")
+        self._m_merges = env.metrics.counter("blk.merges")
         #: Per-core plug lists: core_id -> {op value -> last request}, so
         #: flush_plug touches only the flushing core's entries.
         self._plug: dict[int, dict[str, Request]] = {}
@@ -228,7 +215,7 @@ class BlockLayer:
         request.submitted_at = self.env.now
         request.completion = self.env.event()
         # The request's tree is the one its head bio was submitted in.
-        self.tracer.bind_request(request, bio)
+        self.env.tracer.bind_request(request, bio)
         return request
 
     def _merge(self, request: Request, bio: Bio) -> None:

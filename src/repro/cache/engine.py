@@ -40,7 +40,6 @@ from typing import Generator, Optional
 from ..errors import StorageError
 from ..obs.context import NULL_SPAN, wrap_span
 from ..osd.rbd import RBDImage
-from ..sim import NULL_METRICS
 from .classify import IoClassifier, IoDesc
 from .config import CacheConfig, CacheMode
 from .policy import make_cleaning, make_promotion
@@ -78,7 +77,7 @@ class StreamDetector:
 class CachedImage:
     """A block cache tier wrapping an :class:`RBDImage`."""
 
-    def __init__(self, image: RBDImage, config: CacheConfig, metrics=None):
+    def __init__(self, image: RBDImage, config: CacheConfig):
         self.image = image
         self.config = config
         self.env = image.client.env
@@ -107,7 +106,7 @@ class CachedImage:
         self.flushed_lines = 0
         self.seq_bypasses = 0
         self.epoch_invalidations = 0
-        metrics = metrics or NULL_METRICS
+        metrics = self.env.metrics
         self._m = {
             name: metrics.counter(f"cache.{name}")
             for name in (

@@ -28,7 +28,7 @@ from ..fpga import Accelerator, AlveoU280, PcieLink, QdmaEngine, spec_by_name
 from ..host import HostKernel
 from ..obs.context import CausalTracer
 from ..osd import CephCluster, ClusterSpec, Pool, RBDImage, build_cluster
-from ..sim import NULL_METRICS, Environment, MetricsRegistry, RngRegistry
+from ..sim import Environment, MetricsRegistry, RngRegistry
 from ..units import kib, mib
 from ..workloads.fio import FioJob
 from .config import FrameworkConfig
@@ -66,7 +66,6 @@ class FrameworkInstance:
         fpga: Optional[AlveoU280] = None,
         qdma: Optional[QdmaEngine] = None,
         accelerators: Optional[dict[str, Accelerator]] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ):
         self.env = env
         self.config = config
@@ -87,8 +86,9 @@ class FrameworkInstance:
         self.cache: Optional[CachedImage] = None
         #: Always-on health layer (populated when built with ``health=...``).
         self.health = None
-        #: Stack-wide metrics registry (no-op unless built with ``metrics=True``).
-        self.metrics: MetricsRegistry = metrics or NULL_METRICS
+        #: The run's metrics registry, ``env.metrics`` (no-op unless built
+        #: with ``metrics=True``).
+        self.metrics: MetricsRegistry = env.metrics
 
     def prefill(self, offsets: list[int], bs: int) -> Generator:
         """Process: write the given blocks so subsequent reads find data.
@@ -192,14 +192,15 @@ def build_framework(
 
     ``object_size`` defaults to 4 MiB for replicated pools and must equal
     the workload block size for EC pools (whole-object encode model).
-    With ``metrics=True`` every layer registers its instruments into one
-    shared :class:`MetricsRegistry` (``fw.metrics``); the default is a
-    no-op registry, so instrumentation costs nothing and results are
-    bit-identical either way.  Pass an existing registry to share one
-    across frameworks.
+    With ``metrics=True`` the run's ``env.metrics`` (also ``fw.metrics``)
+    becomes a fresh :class:`MetricsRegistry` that every layer registers
+    its instruments into; otherwise it is left as it is, the no-op
+    registry on a fresh environment, so instrumentation costs nothing and
+    results are bit-identical either way.  Pass an existing registry to
+    share one across frameworks.
 
     ``obs=True`` attaches a :class:`repro.obs.CausalTracer` as
-    ``fw.tracer``: every request grows a span *tree* with parent/child
+    ``fw.tracer`` and ``env.tracer``: every request grows a span *tree* with parent/child
     edges at each layer hand-off, fan-out, and retry leg — the input to
     ``python -m repro profile`` — and the tracer renders the six-stage
     lifecycle view of the forest (``python -m repro trace``).  Tracing
@@ -214,20 +215,17 @@ def build_framework(
 
     ``health=True`` (or a :class:`repro.obs.health.HealthConfig`)
     attaches the always-on cluster health layer — slow-op detector,
-    flight recorder, SLO burn tracking — as ``fw.health``.  The hooks
+    flight recorder, SLO burn tracking — as ``fw.health`` and
+    ``env.health``.  The hooks
     are completion-path bookkeeping only; no simulation events are
     scheduled, so the event stream stays identical to a run without it.
     """
     pool_spec = pool_spec or PoolSpec()
     env = env or Environment()
-    if metrics is True:
-        registry: MetricsRegistry = MetricsRegistry()
-    elif metrics:
-        registry = metrics  # caller-supplied registry
-    else:
-        registry = NULL_METRICS
+    if metrics:
+        env.metrics = MetricsRegistry() if metrics is True else metrics
     spec = cluster_spec or ClusterSpec(seed=seed, client_stack=config.client_stack)
-    cluster = build_cluster(env, spec, metrics=registry)
+    cluster = build_cluster(env, spec)
     if pool_spec.kind == "replicated":
         fault_domain = 1 if pool_spec.size <= spec.num_server_hosts else 0
         pool = cluster.osdmap.create_replicated_pool(
@@ -247,17 +245,16 @@ def build_framework(
             from dataclasses import replace
 
             cache = replace(cache, line_size=object_size)
-        cache_tier = CachedImage(image, cache, metrics=registry)
+        cache_tier = CachedImage(image, cache)
         image = cache_tier
     kernel = HostKernel(env)
-    tracer = CausalTracer(env) if obs else None
 
     fpga = qdma = None
     accelerators: dict[str, Accelerator] = {}
     if config.hardware:
         fpga = AlveoU280()
         pcie = PcieLink(env)
-        qdma = QdmaEngine(env, pcie, metrics=registry)
+        qdma = QdmaEngine(env, pcie)
         accelerators["crush"] = Accelerator(
             env, spec_by_name(PLACEMENT_KERNEL, impl=config.accel_impl)
         )
@@ -285,22 +282,21 @@ def build_framework(
             crush_accel=accelerators.get("crush"),
             ec_accel=accelerators.get("ec"),
             hardware=config.hardware,
-            metrics=registry,
         )
 
-    blk = BlockLayer(env, kernel, driver.queue_rq, config.blk, tracer=tracer, metrics=registry)
+    blk = BlockLayer(env, kernel, driver.queue_rq, config.blk)
     engine = _build_engine(env, kernel, blk, config)
     fw = FrameworkInstance(
-        env, config, cluster, kernel, pool, image, driver, blk, engine, fpga, qdma, accelerators,
-        metrics=registry,
+        env, config, cluster, kernel, pool, image, driver, blk, engine, fpga, qdma, accelerators
     )
-    fw.tracer = tracer
+    if obs:
+        fw.tracer = env.tracer = CausalTracer(env)
     fw.cache = cache_tier
     if health:
         from ..obs.health import HealthConfig, HealthLayer
 
         health_config = health if isinstance(health, HealthConfig) else None
-        HealthLayer(env, health_config, metrics=registry).attach(fw)
+        HealthLayer(env, health_config).attach(fw)
     return fw
 
 

@@ -32,7 +32,7 @@ from ..fpga.qdma import QdmaEngine, QueuePurpose, QueueSet
 from ..host import HostKernel
 from ..osd.osdmap import PoolType
 from ..osd.rbd import RBDImage
-from ..sim import NULL_METRICS, Environment
+from ..sim import Environment
 from ..units import us
 
 #: Object-name hash + PG lookup on a warm placement cache.
@@ -68,7 +68,6 @@ class BlockDriver:
         crush_accel: Optional[Accelerator] = None,
         ec_accel: Optional[Accelerator] = None,
         function: int = 0,
-        metrics=None,
     ):
         self.env = env
         self.kernel = kernel
@@ -92,7 +91,7 @@ class BlockDriver:
         image.direct = direct
         self.core = kernel.cpus.pick_core()
         self.requests_completed = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_requests = metrics.counter(f"driver.{self.name}.requests")
         self._m_request_ns = metrics.latency(f"driver.{self.name}.request_ns")
         self._m_placements = metrics.counter(f"driver.{self.name}.placements")

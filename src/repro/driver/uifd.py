@@ -74,12 +74,11 @@ class UifdDriver(BlockDriver):
         ec_accel: Optional[Accelerator] = None,
         function: int = 0,
         hardware: bool = True,
-        metrics=None,
     ):
         super().__init__(
             env, kernel, image, config or UifdConfig(), direct=True,
             hardware=hardware, qdma=qdma, crush_accel=crush_accel, ec_accel=ec_accel,
-            function=function, metrics=metrics,
+            function=function,
         )
 
     # -- blk-mq driver contract ---------------------------------------------------

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Generator
 
 from ..errors import FpgaError
-from ..sim import NULL_METRICS, Environment, Resource
+from ..sim import Environment, Resource
 from ..units import transfer_ns
 from .descriptors import DESCRIPTOR_BYTES, Descriptor, DescriptorKind, DescriptorRing
 from .device import QDMA_CLOCK_HZ
@@ -70,7 +70,6 @@ class QdmaEngine:
         pcie: PcieLink,
         data_bus_bits: int = 256,
         clock_hz: float = QDMA_CLOCK_HZ,
-        metrics=None,
     ):
         if data_bus_bits not in (256, 512):
             raise FpgaError(f"data bus must be 256 or 512 bits, got {data_bus_bits}")
@@ -86,7 +85,7 @@ class QdmaEngine:
         self._c2h_engine = Resource(env, capacity=H2C_CONCURRENCY, name="qdma.c2h")
         self._desc_engine = Resource(env, capacity=4, name="qdma.de")
         self.completions_posted = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_h2c_bytes = metrics.counter("fpga.qdma.h2c_bytes")
         self._m_c2h_bytes = metrics.counter("fpga.qdma.c2h_bytes")
         self._m_descriptors = metrics.counter("fpga.qdma.descriptors")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..errors import NetworkError
-from ..sim import NULL_METRICS, Environment, Event
+from ..sim import Environment, Event
 from ..units import gbps, us
 from .link import DEFAULT_MTU, Link
 from .message import Message
@@ -78,10 +78,9 @@ class Network:
         hop_ns: int = DEFAULT_HOP_NS,
         switch_ns: int = DEFAULT_SWITCH_NS,
         mtu: int = DEFAULT_MTU,
-        metrics=None,
     ):
         self.env = env
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_messages = metrics.counter("net.messages")
         self._m_bytes = metrics.counter("net.bytes")
         self._m_delivery_ns = metrics.latency("net.delivery_ns")

@@ -5,8 +5,8 @@ Three pieces (ISSUE 5 tentpole):
 * :mod:`~repro.obs.context` — :class:`CausalTracer` and the
   :class:`SpanNode` trees it grows: one per workload op, with
   parent/child edges at every layer hand-off, fan-out, and retry leg
-  (and :data:`NULL_SPAN`/:data:`NULL_TRACER`, what layers of an
-  untraced stack see);
+  (and :data:`NULL_SPAN`, what layers of an untraced stack see, with
+  :data:`repro.sim.metrics.NULL_TRACER` re-exported here);
 * :mod:`~repro.obs.critical_path` — exact attribution of end-to-end
   latency to the spans that gated it, plus straggler-slack reporting;
 * :mod:`~repro.obs.sampler` / :mod:`~repro.obs.digest` /
@@ -31,7 +31,8 @@ the sampler changes no simulated event, so goldens and benchmark
 numbers are identical with observability on or off.
 """
 
-from .context import NULL_SPAN, NULL_TRACER, CausalTracer, SpanNode, wrap_span
+from ..sim.metrics import NULL_TRACER
+from .context import NULL_SPAN, CausalTracer, SpanNode, wrap_span
 from .critical_path import (
     CriticalPath,
     PathSegment,

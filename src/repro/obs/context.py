@@ -18,7 +18,8 @@ The paper's six-stage lifecycle view (Fig. 2) is a projection of these
 trees, computed by :mod:`repro.obs.export`; the tracer's ``summary``,
 ``breakdown_table`` and Chrome/CSV exports render it.
 
-Untraced stacks hand every layer :data:`NULL_TRACER`, whose ops carry
+On an untraced run ``env.tracer`` stays
+:data:`repro.sim.metrics.NULL_TRACER`, whose ops carry
 :data:`NULL_SPAN`: a stateless span that takes every call and records
 nothing, so hook sites need no tracing conditionals (the way
 :data:`repro.sim.NULL_METRICS` stands in for instruments).
@@ -197,22 +198,6 @@ class NullSpan:
 
 #: The shared null span (see :class:`NullSpan`).
 NULL_SPAN = NullSpan()
-
-
-class NullTracer:
-    """The tracer of an untraced stack: no op ever gets a tree."""
-
-    __slots__ = ()
-
-    def open_root(self, bio) -> None:
-        pass
-
-    def bind_request(self, request, bio) -> None:
-        pass
-
-
-#: The shared null tracer (see :class:`NullTracer`).
-NULL_TRACER = NullTracer()
 
 
 class CausalTracer:

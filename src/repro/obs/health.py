@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim import NULL_METRICS
 from ..units import ms
 from .context import NULL_SPAN
 from .digest import StreamingDigest
@@ -282,10 +281,9 @@ class HealthLayer:
     the layer itself never creates a simulation event.
     """
 
-    def __init__(self, env, config: Optional[HealthConfig] = None, metrics=None):
+    def __init__(self, env, config: Optional[HealthConfig] = None):
         self.env = env
         self.config = config or HealthConfig()
-        self.metrics = metrics or NULL_METRICS
         self.detector = SlowOpDetector(self.config.slowop)
         self.flight = FlightRecorder(self.config.flight_capacity, self.config.max_dumps)
         self.slo = SloTracker(self.config.slo, self.config.tenant_slo)
@@ -295,20 +293,22 @@ class HealthLayer:
         #: Active checks, deduplicated by code (latest evaluation wins).
         self.checks: dict[str, HealthCheck] = {}
         self.polls = 0
-        self._m_client_ops = self.metrics.counter("health.client_ops")
-        self._m_osd_ops = self.metrics.counter("health.osd_ops")
-        self._m_slow_ops = self.metrics.counter("health.slow_ops")
-        self._g_status = self.metrics.gauge("health.status_level")
+        metrics = env.metrics
+        self._m_client_ops = metrics.counter("health.client_ops")
+        self._m_osd_ops = metrics.counter("health.osd_ops")
+        self._m_slow_ops = metrics.counter("health.slow_ops")
+        self._g_status = metrics.gauge("health.status_level")
 
     # -- wiring -------------------------------------------------------------------
 
     def attach(self, fw) -> "HealthLayer":
-        """Install the completion-path hooks on a framework instance."""
+        """Make this layer the run's health hooks (``env.health``).
+
+        Every API engine and OSD daemon of ``fw`` then reports each
+        completion to it."""
         self.cluster = fw.cluster
         self.cache = fw.cache
-        fw.blk.health = self
-        for daemon in fw.cluster.daemons.values():
-            daemon.health = self
+        fw.env.health = self
         fw.health = self
         return self
 

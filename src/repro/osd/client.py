@@ -23,7 +23,7 @@ from ..crush import CRUSH_ITEM_NONE, PlacementEngine
 from ..ec import ReedSolomon
 from ..errors import OsdOpError, StorageError
 from ..obs.context import NULL_SPAN
-from ..sim import NULL_METRICS, Environment
+from ..sim import Environment
 from ..status import BlkStatus
 from .fabric import Fabric, Messenger, fan_out, traced_call
 from .ops import OpKind, OsdOp, OsdReply
@@ -43,7 +43,6 @@ class RadosClient(Messenger):
         name: str = "client0",
         policy: Optional[OpPolicy] = None,
         rng=None,
-        metrics=None,
     ):
         super().__init__(env, fabric, name)
         self.osdmap = osdmap
@@ -75,7 +74,7 @@ class RadosClient(Messenger):
         #: Ops issued against an acting set with CRUSH holes (the pool
         #: is running below its redundancy target — degraded IO).
         self.degraded_placements = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_degraded_placements = metrics.counter("client.degraded_placements")
         self._m_retries = metrics.counter("client.retries")
         self._m_timeouts = metrics.counter("client.timeouts")

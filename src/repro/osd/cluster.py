@@ -48,13 +48,11 @@ class ClusterSpec:
 class CephCluster:
     """Everything needed to run object I/O experiments."""
 
-    def __init__(self, env: Environment, spec: Optional[ClusterSpec] = None, metrics=None):
+    def __init__(self, env: Environment, spec: Optional[ClusterSpec] = None):
         self.env = env
         self.spec = spec or ClusterSpec()
         self.rng = RngRegistry(self.spec.seed)
-        #: Stack-wide MetricsRegistry (no-op unless one is passed in).
-        self.metrics = metrics
-        self.network = Network(env, metrics=metrics)
+        self.network = Network(env)
         # Hosts: client0..N and server0..M.
         self.client_hosts = [f"clienthost{i}" for i in range(self.spec.num_clients)]
         self.server_hosts = [f"server{i}" for i in range(self.spec.num_server_hosts)]
@@ -73,29 +71,12 @@ class CephCluster:
         self.daemons: dict[int, OsdDaemon] = {}
         for h, host in enumerate(self.server_hosts):
             for d in range(self.spec.osds_per_host):
-                osd_id = h * self.spec.osds_per_host + d
-                self.osdmap.register_osd(osd_id, host)
-                self.fabric.register(f"osd.{osd_id}", host, KERNEL_TCP)
-                device = StorageDevice(
-                    env,
-                    self.spec.media,
-                    rng=self.rng.stream(f"dev.{osd_id}"),
-                    name=f"osd.{osd_id}",
-                )
-                daemon = OsdDaemon(
-                    env, osd_id, self.fabric, device, self.osdmap, self.spec.osd_config,
-                    metrics=metrics,
-                )
-                self._attach_wal(daemon)
-                daemon.start()
-                self.daemons[osd_id] = daemon
+                self._start_osd(h * self.spec.osds_per_host + d, host)
         # The monitor lives on the first server and can run heartbeats.
         self.fabric.register("mon", self.server_hosts[0], KERNEL_TCP)
         mon_messenger = Messenger(env, self.fabric, "mon")
         mon_messenger.start()
-        self.monitor = Monitor(
-            env, self.osdmap, self.daemons, messenger=mon_messenger, metrics=metrics
-        )
+        self.monitor = Monitor(env, self.osdmap, self.daemons, messenger=mon_messenger)
         #: Online self-healing manager; None until enable_recovery().
         self.recovery = None
         #: Multi-tenant QoS manager; None until enable_qos().
@@ -121,7 +102,6 @@ class CephCluster:
             name,
             policy=self.spec.op_policy,
             rng=self.rng.stream(f"backoff.{name}"),
-            metrics=self.metrics,
         )
         client.start()
         self._clients[name] = client
@@ -161,18 +141,7 @@ class CephCluster:
             (bid for bid, t in self.crush.bucket_types.items() if t == 1), reverse=True
         )[host_index]
         self.crush.add_device_to_bucket(host_bucket, dev_id)
-        self.osdmap.register_osd(dev_id, server_host)
-        self.fabric.register(f"osd.{dev_id}", server_host, KERNEL_TCP)
-        device = StorageDevice(
-            self.env, self.spec.media, rng=self.rng.stream(f"dev.{dev_id}"), name=f"osd.{dev_id}"
-        )
-        daemon = OsdDaemon(
-            self.env, dev_id, self.fabric, device, self.osdmap, self.spec.osd_config,
-            metrics=self.metrics,
-        )
-        self._attach_wal(daemon)
-        daemon.start()
-        self.daemons[dev_id] = daemon
+        daemon = self._start_osd(dev_id, server_host)
         if self.recovery is not None:
             daemon.recovery_ledger = self.recovery
         if self.qos is not None:
@@ -198,7 +167,7 @@ class CephCluster:
             # scheduler's ``recovery`` service class, not ad-hoc backoff.
             self.enable_qos()
         if self.recovery is None:
-            self.recovery = RecoveryManager(self.env, self, config, metrics=self.metrics)
+            self.recovery = RecoveryManager(self.env, self, config)
             if self.qos is not None:
                 for agent in self.recovery._agents.values():
                     self.qos.attach_messenger(agent.messenger)
@@ -219,23 +188,29 @@ class CephCluster:
         from .qos import QosManager
 
         if self.qos is None:
-            self.qos = QosManager(self.env, self, config, metrics=self.metrics)
+            self.qos = QosManager(self.env, self, config)
         return self.qos
 
-    # -- durability ----------------------------------------------------------------
+    # -- OSD provisioning ----------------------------------------------------------
 
-    def _attach_wal(self, daemon: OsdDaemon) -> None:
-        """Install the commit pipeline on a daemon when configured."""
-        if self.spec.durability is None:
-            return
-        daemon.wal = WriteAheadLog(
-            self.env,
-            daemon.device,
-            daemon,
-            self.spec.durability,
-            rng=self.rng.stream(f"wal.{daemon.osd_id}"),
-            metrics=self.metrics,
+    def _start_osd(self, osd_id: int, host: str) -> OsdDaemon:
+        """Register OSD ``osd_id`` on ``host`` in the map and the fabric,
+        build its device, daemon and (when configured) commit pipeline,
+        and start it."""
+        self.osdmap.register_osd(osd_id, host)
+        self.fabric.register(f"osd.{osd_id}", host, KERNEL_TCP)
+        device = StorageDevice(
+            self.env, self.spec.media, rng=self.rng.stream(f"dev.{osd_id}"), name=f"osd.{osd_id}"
         )
+        daemon = OsdDaemon(self.env, osd_id, self.fabric, device, self.osdmap, self.spec.osd_config)
+        if self.spec.durability is not None:
+            daemon.wal = WriteAheadLog(
+                self.env, device, daemon, self.spec.durability,
+                rng=self.rng.stream(f"wal.{osd_id}"),
+            )
+        daemon.start()
+        self.daemons[osd_id] = daemon
+        return daemon
 
     # -- failure injection --------------------------------------------------------
 
@@ -301,8 +276,6 @@ class CephCluster:
         return sum(d.ops_served for d in self.daemons.values())
 
 
-def build_cluster(
-    env: Environment, spec: Optional[ClusterSpec] = None, metrics=None
-) -> CephCluster:
+def build_cluster(env: Environment, spec: Optional[ClusterSpec] = None) -> CephCluster:
     """Convenience constructor (paper testbed by default)."""
-    return CephCluster(env, spec, metrics=metrics)
+    return CephCluster(env, spec)

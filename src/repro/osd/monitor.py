@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import StorageError
-from ..sim import NULL_METRICS, Environment
+from ..sim import Environment
 from .ops import OpKind, OsdOp
 from .osd import OsdDaemon
 from .qos import CLASS_SYSTEM, QosTag
@@ -34,7 +34,7 @@ class Monitor:
     """
 
     def __init__(self, env: Environment, osdmap: OSDMap, daemons: dict[int, OsdDaemon],
-                 messenger=None, metrics=None, down_out_interval_ns: int = 0):
+                 messenger=None, down_out_interval_ns: int = 0):
         self.env = env
         self.osdmap = osdmap
         self.daemons = daemons
@@ -47,7 +47,7 @@ class Monitor:
         self._suspect_since: dict[int, int] = {}
         self.failures_detected: deque[int] = deque(maxlen=FAILURES_DETECTED_CAP)
         self.flaps_suppressed = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_failures = metrics.counter("mon.failures_detected")
         self._m_flaps = metrics.counter("mon.flaps_suppressed")
         self._m_hb_rtt = metrics.distribution("mon.heartbeat_rtt_ns")

@@ -21,7 +21,7 @@ from ..crush import CRUSH_ITEM_NONE
 from ..ec import ReedSolomon
 from ..errors import StorageError
 from ..obs.context import NULL_SPAN, wrap_span
-from ..sim import NULL_METRICS, Environment, Resource
+from ..sim import Environment, Resource
 from ..units import us
 from .fabric import Fabric, Messenger, fan_out
 from .objects import ObjectStore
@@ -145,7 +145,6 @@ class OsdDaemon(Messenger):
         device: StorageDevice,
         osdmap: OSDMap,
         config: Optional[OsdConfig] = None,
-        metrics=None,
     ):
         super().__init__(env, fabric, f"osd.{osd_id}")
         self.osd_id = osd_id
@@ -176,17 +175,13 @@ class OsdDaemon(Messenger):
         #: is configured: the transactional commit pipeline.  None keeps
         #: the write path byte-identical to the volatile seed.
         self.wal = None
-        #: Set by ``repro.obs.health.HealthLayer.attach``: the always-on
-        #: slow-op / SLO accounting sink.  None keeps the request path
-        #: byte-identical to the unmonitored seed.
-        self.health = None
         self._codecs: dict[int, ReedSolomon] = {}
         #: op_id -> reply for completed mutations (pglog dup detection):
         #: a replayed or duplicated write resends the recorded ack
         #: instead of re-applying.
         self._reply_cache: OrderedDict[int, OsdReply] = OrderedDict()
         self.replays_absorbed = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_ops = metrics.counter(f"osd.{osd_id}.ops")
         self._m_op_latency = metrics.latency(f"osd.{osd_id}.op_latency")
         self._m_replays = metrics.counter("osd.replays_absorbed")
@@ -364,14 +359,14 @@ class OsdDaemon(Messenger):
         self.ops_served += 1
         self._m_ops.add()
         self._m_op_latency.record(self.env.now - t0)
-        if self.health is not None:
-            self.health.observe_osd(
-                self.osd_id,
-                op.kind.value,
-                op.qos.tenant if op.qos is not None else "",
-                self.env.now - t0,
-                reply.ok,
-            )
+        self.env.health.observe_osd(
+            self.osd_id,
+            # An unknown kind (not an OpKind) reports as itself.
+            getattr(op.kind, "value", op.kind),
+            op.qos.tenant if op.qos is not None else "",
+            self.env.now - t0,
+            reply.ok,
+        )
         svc.finish(ok=reply.ok)
         yield from self.reply_to(src, reply)
 

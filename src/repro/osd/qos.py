@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from ..errors import StorageError
-from ..sim import NULL_METRICS, Environment, Event, Resource
+from ..sim import Environment, Event, Resource
 
 NS_PER_SEC = 1_000_000_000
 
@@ -400,7 +400,6 @@ class OsdQosScheduler:
         osd_id: int,
         capacity: int,
         config: Optional[QosConfig] = None,
-        metrics=None,
     ):
         self.env = env
         self.osd_id = osd_id
@@ -411,8 +410,7 @@ class OsdQosScheduler:
         #: Express lane for peer sub-ops (see class docstring).
         self.sub_lane = Resource(env, capacity=capacity, name=f"qos.{osd_id}.sublane")
         self._wake_at: Optional[int] = None
-        metrics = metrics or NULL_METRICS
-        self._metrics = metrics
+        metrics = env.metrics
         self._m_res = metrics.counter("qos.phase.reservation")
         self._m_prio = metrics.counter("qos.phase.priority")
         self._m_limit_waits = metrics.counter("qos.limit_waits")
@@ -425,11 +423,12 @@ class OsdQosScheduler:
         if m is None:
             svc, tenant = flow
             label = f"tenant.{tenant or 'default'}" if svc == CLASS_CLIENT else f"class.{svc}"
+            metrics = self.env.metrics
             m = (
-                self._metrics.counter(f"qos.{label}.ops"),
-                self._metrics.distribution(f"qos.{label}.queue_wait_ns"),
-                self._metrics.distribution(f"qos.{label}.deadline_lag_ns"),
-                self._metrics.counter(f"qos.{label}.res_ops"),
+                metrics.counter(f"qos.{label}.ops"),
+                metrics.distribution(f"qos.{label}.queue_wait_ns"),
+                metrics.distribution(f"qos.{label}.deadline_lag_ns"),
+                metrics.counter(f"qos.{label}.res_ops"),
             )
             self._flow_m[flow] = m
         return m
@@ -557,12 +556,10 @@ class QosManager:
     messenger entity (clients, primaries issuing sub-ops, recovery
     agents).  Created by :meth:`CephCluster.enable_qos`."""
 
-    def __init__(self, env: Environment, cluster, config: Optional[QosConfig] = None,
-                 metrics=None):
+    def __init__(self, env: Environment, cluster, config: Optional[QosConfig] = None):
         self.env = env
         self.cluster = cluster
         self.config = config or QosConfig()
-        self.metrics = metrics
         for daemon in cluster.daemons.values():
             self.attach_osd(daemon)
         for client in cluster._clients.values():
@@ -577,8 +574,7 @@ class QosManager:
         """Install the admission gate on one OSD (idempotent)."""
         if daemon.qos is None:
             daemon.qos = OsdQosScheduler(
-                self.env, daemon.osd_id, daemon.config.op_threads, self.config,
-                metrics=self.metrics,
+                self.env, daemon.osd_id, daemon.config.op_threads, self.config
             )
         # Primaries forward sub-ops: their sends carry rho/delta too.
         self.attach_messenger(daemon)

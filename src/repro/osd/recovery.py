@@ -41,7 +41,7 @@ from typing import Generator, Optional
 from ..crush import CRUSH_ITEM_NONE, PlacementEngine
 from ..crush.placement import object_to_pg
 from ..net.stack import KERNEL_TCP
-from ..sim import NULL_METRICS, Environment, Event, Resource
+from ..sim import Environment, Event, Resource
 from .fabric import Messenger
 from .ops import OpKind, OsdOp
 from .osd import base_object_name, shard_object_name
@@ -126,16 +126,14 @@ class RecoveryManager:
     objects block until their backfill push lands).
     """
 
-    def __init__(self, env: Environment, cluster, config: Optional[RecoveryConfig] = None,
-                 metrics=None):
+    def __init__(self, env: Environment, cluster, config: Optional[RecoveryConfig] = None):
         self.env = env
         self.cluster = cluster
         self.osdmap = cluster.osdmap
         self.daemons = cluster.daemons
         self.config = config or RecoveryConfig()
         self.placement = PlacementEngine(self.osdmap.crush)
-        metrics = metrics or NULL_METRICS
-        self._metrics = metrics
+        metrics = env.metrics
         self.pgs: dict[tuple[int, int], PGInfo] = {}
         self._agents: dict[int, _Agent] = {}
         self._inflight_jobs = 0

@@ -53,7 +53,7 @@ from typing import Generator, Optional
 
 from ..errors import ProcessKilled
 from ..obs.context import NULL_SPAN
-from ..sim import NULL_METRICS, Environment
+from ..sim import Environment
 from ..units import kib
 from .objects import ObjectStore
 from .storage import StorageDevice
@@ -321,7 +321,6 @@ class WriteAheadLog:
         owner,
         config: Optional[DurabilityConfig] = None,
         rng=None,
-        metrics=None,
     ):
         self.env = env
         self.device = device
@@ -355,7 +354,7 @@ class WriteAheadLog:
         self.trims = 0
         self.replays = 0
         self.power_losses = 0
-        metrics = metrics or NULL_METRICS
+        metrics = env.metrics
         self._m_appends = metrics.counter("wal.appends")
         self._m_bytes = metrics.counter("wal.bytes")
         self._m_replays = metrics.counter("wal.replays")

@@ -30,6 +30,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import ProcessKilled, SimulationError
+from .metrics import NULL_HEALTH, NULL_METRICS, NULL_TRACER
 
 #: Priority used for ordinary events.
 NORMAL = 1
@@ -308,9 +309,13 @@ class Environment:
 
     ``env.now`` is the current simulated time in nanoseconds.  It is the
     clock slot itself, read with no call; only the kernel writes it.
+
+    It also carries the run's observers, which every layer built on it
+    reads: ``env.metrics``, ``env.tracer`` and ``env.health``, each a
+    shared no-op until the run assigns a real one.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "_resume_pool")
+    __slots__ = ("_now", "_queue", "_seq", "_active", "_resume_pool", "metrics", "tracer", "health")
 
     #: Upper bound on pooled resume events (plenty for any realistic
     #: same-tick resume burst; beyond it, extras are garbage-collected).
@@ -323,6 +328,9 @@ class Environment:
         self._active: Optional[Process] = None
         #: Free list of recycled :class:`_ResumeEvent` objects.
         self._resume_pool: list[_ResumeEvent] = []
+        self.metrics = NULL_METRICS
+        self.tracer = NULL_TRACER
+        self.health = NULL_HEALTH
 
     def _new_resume_event(self, ok: bool, value: Any) -> _ResumeEvent:
         """A triggered internal resume event, recycled from the pool.

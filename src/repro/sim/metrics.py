@@ -7,11 +7,16 @@ dot-separated hierarchical names (``blk.hwq0.depth``,
 measurement primitives from :mod:`repro.sim.monitor`; the registry only
 names, deduplicates, and reports them.
 
-Instrumentation must cost nothing when disabled: components take a
-registry argument defaulting to :data:`NULL_METRICS`, whose factories
-hand back shared no-op instruments.  No-op calls never touch the event
-queue, so simulated results are bit-identical with metrics on or off;
-with :data:`NULL_METRICS` they do not even allocate.
+Instrumentation must cost nothing when disabled: components read the
+run's registry from ``env.metrics``, which is :data:`NULL_METRICS` until
+a run assigns a real one, and its factories hand back shared no-op
+instruments.  No-op calls never touch the event queue, so simulated
+results are bit-identical with metrics on or off; with
+:data:`NULL_METRICS` they do not even allocate.
+
+The other two observers an :class:`~repro.sim.Environment` carries have
+their null objects here too: :data:`NULL_TRACER` (``env.tracer``) and
+:data:`NULL_HEALTH` (``env.health``).
 
 >>> reg = MetricsRegistry()
 >>> reg.counter("blk.bios_submitted").add(3)
@@ -38,10 +43,6 @@ class MetricsError(ReproError):
 
 class MetricsRegistry:
     """Named instruments, get-or-create, hierarchical reporting."""
-
-    #: Real registries record; the null registry advertises False so
-    #: callers can skip building expensive label strings.
-    enabled = True
 
     def __init__(self):
         self._metrics: dict[str, Metric] = {}
@@ -101,8 +102,9 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def __bool__(self) -> bool:
-        # A registry is truthy even while empty: components rely on
-        # ``metrics or NULL_METRICS`` and must not drop a fresh registry.
+        # A registry is truthy even while empty: ``build_framework``
+        # tests its ``metrics`` argument with ``if metrics:``, and a
+        # caller's fresh registry must not read as "off".
         return True
 
     def __iter__(self) -> Iterator[str]:
@@ -243,8 +245,6 @@ class NullMetricsRegistry(MetricsRegistry):
     unchanged whether instrumentation code is present or not.
     """
 
-    enabled = False
-
     def __init__(self):
         super().__init__()
         self._counter = _NullCounter("null")
@@ -273,5 +273,37 @@ class NullMetricsRegistry(MetricsRegistry):
         return self._timeseries
 
 
-#: Shared disabled registry used as the default everywhere.
+#: Shared disabled registry: ``env.metrics`` of a run without metrics.
 NULL_METRICS = NullMetricsRegistry()
+
+
+class NullTracer:
+    """The tracer of an untraced stack: no op ever gets a tree."""
+
+    __slots__ = ()
+
+    def open_root(self, bio) -> None:
+        pass
+
+    def bind_request(self, request, bio) -> None:
+        pass
+
+
+#: The shared null tracer: ``env.tracer`` of an untraced run.
+NULL_TRACER = NullTracer()
+
+
+class NullHealth:
+    """The health hooks of an unmonitored run: every completion is dropped."""
+
+    __slots__ = ()
+
+    def observe_client(self, *args, **kwargs) -> None:
+        pass
+
+    def observe_osd(self, *args, **kwargs) -> None:
+        pass
+
+
+#: The shared null health hooks: ``env.health`` of an unmonitored run.
+NULL_HEALTH = NullHealth()

@@ -279,9 +279,13 @@ class FailingDriver(NullDriver):
 class HealthProbe:
     def __init__(self):
         self.seen = []
+        self.osd_seen = []
 
     def observe_client(self, op_class, tenant, latency_ns, ok, root):
         self.seen.append(ok)
+
+    def observe_osd(self, osd_id, op_class, tenant, latency_ns, ok):
+        self.osd_seen.append(osd_id)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +301,25 @@ def test_every_engine_accounts_completions_alike(engine_cls, driver_cls):
     kernel = HostKernel(env, num_cores=8)
     blk = BlockLayer(env, kernel, driver_cls(env).queue_rq,
                      BlkMqConfig(scheduler="none", merge_enabled=False))
-    blk.health = HealthProbe()
+    env.health = HealthProbe()
     result = run_engine(engine_cls(env, kernel, blk), bios_seq(10, op=IoOp.WRITE), iodepth=4)
     ok = driver_cls is NullDriver
     assert result.ios == 10
     assert result.errors == (0 if ok else 10)
     assert result.bytes_moved == (10 * 4096 if ok else 0)
-    assert blk.health.seen == [ok] * 10
+    assert env.health.seen == [ok] * 10
+
+
+def test_env_health_sees_client_and_osd_completions():
+    """One run's ``env.health`` hears both completion paths: every I/O the
+    engine reaps and every op an OSD daemon serves, with no hook set on
+    the block layer or on any daemon."""
+    fw = build_framework(framework_by_name("delibak"))
+    fw.env.health = probe = HealthProbe()
+    job = FioJob("probe", "randwrite", bs=kib(4), iodepth=4, nrequests=10)
+    run_engine(fw.engine, job.make_bios(fw.rng.stream("fio.probe.j0")), iodepth=4)
+    assert probe.seen == [True] * 10
+    assert len(probe.osd_seen) == fw.cluster.total_ops_served() > 0
 
 
 @pytest.mark.parametrize("framework", ["deliba2", "software-ceph"])

@@ -38,11 +38,12 @@ from repro.net.topology import Network
 from repro.osd.client import RadosClient
 from repro.osd.fabric import Fabric
 from repro.osd.osdmap import OSDMap
-from repro.sim import Environment, MetricsRegistry
+from repro.sim import NULL_METRICS, Environment, MetricsRegistry
 
 
-def make_client(num_osds, pg_num, size, metrics=None):
+def make_client(num_osds, pg_num, size, metrics=NULL_METRICS):
     env = Environment()
+    env.metrics = metrics
     net = Network(env)
     net.add_host("h0")
     fabric = Fabric(env, net)
@@ -52,7 +53,7 @@ def make_client(num_osds, pg_num, size, metrics=None):
     for i in range(num_osds):
         osdmap.register_osd(i, "h0")
     pool = osdmap.create_replicated_pool("p", pg_num, size, root)
-    client = RadosClient(env, fabric, osdmap, "c0", metrics=metrics)
+    client = RadosClient(env, fabric, osdmap, "c0")
     return client, osdmap, pool
 
 

@@ -289,8 +289,8 @@ def test_health_cache_dirty_check():
 
 def test_health_metrics_registered():
     env = Environment()
-    registry = MetricsRegistry()
-    layer = HealthLayer(env, metrics=registry)
+    registry = env.metrics = MetricsRegistry()
+    layer = HealthLayer(env)
     layer.observe_client("write", "", us(100), True, None)
     layer.poll()
     assert registry.get("health.client_ops").value == 1

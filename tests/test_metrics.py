@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.deliba import DELIBAK, build_framework
+from repro.deliba import DELIBAK, FRAMEWORKS, build_framework
+from repro.osd import ClusterSpec, build_cluster
 from repro.sim import (
     NULL_METRICS,
     Counter,
     Distribution,
+    Environment,
     Gauge,
     LatencyRecorder,
     MetricsError,
@@ -68,8 +70,8 @@ def test_registry_lookup_and_prefix():
 
 
 def test_empty_registry_is_truthy():
-    # Components rely on ``metrics or NULL_METRICS``; an empty registry
-    # must not be swallowed by that fallback.
+    # ``build_framework`` tests its ``metrics`` argument for truth; an
+    # empty caller-supplied registry must not read as "metrics off".
     assert bool(MetricsRegistry())
     assert bool(NullMetricsRegistry())
 
@@ -105,7 +107,6 @@ def test_registry_render():
 
 
 def test_null_registry_shares_noop_instruments():
-    assert NULL_METRICS.enabled is False
     assert NULL_METRICS.counter("a") is NULL_METRICS.counter("b")
     c = NULL_METRICS.counter("a")
     c.add(10)
@@ -183,6 +184,36 @@ def test_metrics_disabled_results_bit_identical():
     assert on.bytes_moved == off.bytes_moved
     assert on.started_at == off.started_at
     assert on.finished_at == off.finished_at
+
+
+@pytest.mark.parametrize("name", sorted(FRAMEWORKS))
+def test_every_framework_counts_its_driver_requests(name):
+    """Every stack's driver records into the run's registry.  The NBD
+    driver (D1, D2, D2-sw) and the stock rbd driver (software Ceph) used
+    to be built without it and registered no ``driver.*`` metric."""
+    fw = build_framework(FRAMEWORKS[name], metrics=True)
+    job = FioJob("d", "randwrite", bs=kib(4), iodepth=2, nrequests=8)
+    proc = fw.env.process(fw.run_fio(job))
+    fw.env.run()
+    assert proc.ok
+    assert fw.metrics.counter(f"driver.{fw.driver.name}.requests").value == proc.value.ios == 8
+
+
+def test_layers_built_without_a_registry_record_into_env_metrics():
+    """No layer takes a registry argument: a cluster built on an env whose
+    ``env.metrics`` is a registry records its network, client and OSD
+    instruments there."""
+    env = Environment()
+    env.metrics = reg = MetricsRegistry()
+    cluster = build_cluster(env, ClusterSpec(num_server_hosts=2, osds_per_host=2))
+    pool = cluster.create_replicated_pool("p", pg_num=8, size=2)
+    client = cluster.new_client()
+    env.process(client.write_replicated(pool, "obj", b"x" * kib(4), direct=True))
+    env.run()
+    assert reg.counter("net.messages").value > 0
+    assert reg.counter("client.placement_cache.misses").value == 1
+    osd_ops = sum(reg.counter(n).value for n in reg.names("osd.") if n.endswith(".ops"))
+    assert osd_ops == cluster.total_ops_served() == 2
 
 
 def test_shared_registry_across_frameworks():

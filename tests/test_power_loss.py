@@ -29,7 +29,8 @@ def make(durable=True, seed=0, recovery=False):
         durability=DurabilityConfig() if durable else None,
         seed=seed,
     )
-    cluster = build_cluster(env, spec, metrics=MetricsRegistry())
+    env.metrics = MetricsRegistry()
+    cluster = build_cluster(env, spec)
     pool = cluster.create_replicated_pool("p", pg_num=16, size=3)
     manager = cluster.enable_recovery(RecoveryConfig()) if recovery else None
     client = cluster.new_client()
@@ -114,7 +115,7 @@ def test_delta_recovery_ships_only_missed_ops():
     # outage => the WAL-replaying OSD needs zero pushed bytes, while the
     # wipe path re-backfills everything it ever held.
     env, cluster, pool, client, manager = make(recovery=True)
-    metrics = cluster.metrics
+    metrics = env.metrics
     for i in range(8):
         run(env, client.write_replicated(pool, f"o{i}", bytes([i]) * 4096, direct=True))
     victim = client.compute_placement(pool, "o0")[0]
@@ -140,10 +141,10 @@ def test_delta_recovery_ships_only_missed_ops():
     def wipe_cycle():
         cluster2.fail_osd(victim2)
         yield from manager2.wait_converged()
-        before = cluster2.metrics.counter("recovery.bytes_pushed").value
+        before = env2.metrics.counter("recovery.bytes_pushed").value
         cluster2.monitor.revive_osd(victim2)
         yield from manager2.wait_converged()
-        return cluster2.metrics.counter("recovery.bytes_pushed").value - before
+        return env2.metrics.counter("recovery.bytes_pushed").value - before
 
     full_bytes = run(env2, wipe_cycle())
     assert full_bytes > 0

@@ -336,12 +336,12 @@ def test_limit_wake_timer_resumes_blocked_queue():
 
 def build(pool_kind="replicated", qos=None, **kw):
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=2, osds_per_host=4,
         op_policy=CHAOS_POLICY, osd_config=CHAOS_OSD, **kw,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     if pool_kind == "replicated":
         pool = cluster.create_replicated_pool("pool", pg_num=16, size=3)
     else:
@@ -416,12 +416,12 @@ def test_recovery_rides_recovery_service_class():
     ``recovery`` class (and auto-enables QoS) instead of polling the
     CPU queue."""
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=2, osds_per_host=4,
         op_policy=CHAOS_POLICY, osd_config=CHAOS_OSD,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     pool = cluster.create_replicated_pool("pool", pg_num=16, size=3)
     cluster.enable_recovery(RecoveryConfig(client_priority=True))
     assert cluster.qos is not None  # auto-enabled
@@ -473,11 +473,11 @@ def test_saturating_primaries_do_not_deadlock():
     mutually-replicating primaries would wedge the whole cluster if
     REP_WRITE sub-ops had to queue for the same slots."""
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=2, osds_per_host=2, osd_config=OsdConfig(op_threads=1)
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     pool = cluster.create_replicated_pool("pool", pg_num=16, size=3)
     cluster.enable_qos(QosConfig())
     client = cluster.new_client()

@@ -38,12 +38,12 @@ CHAOS_OSD = OsdConfig(subop_timeout_ns=ms(5))
 
 def build(pool_kind="replicated", pg_num=16, config=None, **kw):
     env = Environment()
-    metrics = MetricsRegistry()
+    metrics = env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=2, osds_per_host=4,
         op_policy=CHAOS_POLICY, osd_config=CHAOS_OSD, **kw,
     )
-    cluster = build_cluster(env, spec, metrics=metrics)
+    cluster = build_cluster(env, spec)
     if pool_kind == "replicated":
         pool = cluster.create_replicated_pool("pool", pg_num=pg_num, size=3)
     else:
