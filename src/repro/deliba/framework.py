@@ -200,11 +200,11 @@ def build_framework(
     share one across frameworks.
 
     ``obs=True`` attaches a :class:`repro.obs.CausalTracer` as
-    ``fw.tracer`` and ``env.tracer``: every request grows a span *tree* with parent/child
-    edges at each layer hand-off, fan-out, and retry leg — the input to
-    ``python -m repro profile`` — and the tracer renders the six-stage
-    lifecycle view of the forest (``python -m repro trace``).  Tracing
-    does not change the simulated event stream.
+    ``fw.tracer`` and ``env.tracer``: every request grows a span *tree*
+    with parent/child edges at each layer hand-off, fan-out, and retry
+    leg — the input to ``python -m repro profile`` — and the tracer
+    renders the six-stage lifecycle view of the forest (``python -m
+    repro trace``).  Tracing does not change the simulated event stream.
 
     ``cache=CacheConfig(...)`` interposes an Open-CAS-style client block
     cache (:class:`repro.cache.CachedImage`) between the driver and the
@@ -216,9 +216,9 @@ def build_framework(
     ``health=True`` (or a :class:`repro.obs.health.HealthConfig`)
     attaches the always-on cluster health layer — slow-op detector,
     flight recorder, SLO burn tracking — as ``fw.health`` and
-    ``env.health``.  The hooks
-    are completion-path bookkeeping only; no simulation events are
-    scheduled, so the event stream stays identical to a run without it.
+    ``env.health``.  The hooks are completion-path bookkeeping only; no
+    simulation events are scheduled, so the event stream stays identical
+    to a run without it.
     """
     pool_spec = pool_spec or PoolSpec()
     env = env or Environment()
