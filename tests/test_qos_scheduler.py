@@ -473,7 +473,7 @@ def test_saturating_primaries_do_not_deadlock():
     mutually-replicating primaries would wedge the whole cluster if
     REP_WRITE sub-ops had to queue for the same slots."""
     env = Environment()
-    metrics = env.metrics = MetricsRegistry()
+    env.metrics = MetricsRegistry()
     spec = ClusterSpec(
         num_server_hosts=2, osds_per_host=2, osd_config=OsdConfig(op_threads=1)
     )
